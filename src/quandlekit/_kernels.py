@@ -1,40 +1,17 @@
-"""Hot inner-loop kernels with a numba fast path and a pure-numpy fallback.
-
-Backend selection is controlled by the QUANDLEKIT_BACKEND environment
-variable, read once at import time:
-
-    auto   (default) use numba if importable, else numpy
-    numba  require numba, fail loudly if missing
-    numpy  force the vectorized numpy path
+"""Hot inner-loop scans over operation tables, vectorized with numpy.
 
 Every kernel returns the indices of the *first* violation/witness in
-row-major scan order, or all -1 if none exists.  Both backends agree on
-that ordering (numpy's argwhere is row-major), so results are bit-identical.
+row-major scan order (the order of nested loops over the index tuple,
+last index fastest), or all -1 if none exists.  numpy's argwhere lists
+hits in that order, so the first row of its result is the first hit.
 """
-
-import os
 
 import numpy as np
 
-_MODE = os.environ.get("QUANDLEKIT_BACKEND", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"QUANDLEKIT_BACKEND must be auto|numba|numpy, got {_MODE!r}")
-
-HAS_NUMBA = False
-if _MODE in ("auto", "numba"):
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:
-        if _MODE == "numba":
-            raise
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
+BACKEND = "numpy"
 
 
-# -- numpy implementations ----------------------------------------------------
-
-def assoc_violation_numpy(table):
+def assoc_violation(table):
     """First (i, j, k) with (i*j)*k != i*(j*k), else (-1, -1, -1)."""
     n = table.shape[0]
     lhs = table[table]                                  # [i,j,k] = t[t[i,j],k]
@@ -45,7 +22,7 @@ def assoc_violation_numpy(table):
     return tuple(int(v) for v in bad[0])
 
 
-def self_distrib_violation_numpy(table):
+def self_distrib_violation(table):
     """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z)."""
     lhs = table[table]                                  # [x,y,z] = t[t[x,y],z]
     rhs = table[table[:, None, :], table[None, :, :]]   # t[t[x,z],t[y,z]]
@@ -55,7 +32,7 @@ def self_distrib_violation_numpy(table):
     return tuple(int(v) for v in bad[0])
 
 
-def hopf_witness_numpy(table):
+def hopf_witness_scan(table):
     """First (x, y) with x<|y == x and y<|x != y, else (-1, -1)."""
     n = table.shape[0]
     ar = np.arange(n)
@@ -66,7 +43,7 @@ def hopf_witness_numpy(table):
     return tuple(int(v) for v in bad[0])
 
 
-def trefoil_witness_numpy(table):
+def trefoil_witness_scan(table):
     """First (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else (-1, -1)."""
     n = table.shape[0]
     ar = np.arange(n)
@@ -76,57 +53,3 @@ def trefoil_witness_numpy(table):
     if bad.size == 0:
         return (-1, -1)
     return tuple(int(v) for v in bad[0])
-
-
-# -- numba implementations ----------------------------------------------------
-
-if HAS_NUMBA:
-    @njit(cache=True)
-    def assoc_violation_numba(table):
-        n = table.shape[0]
-        for i in range(n):
-            for j in range(n):
-                ij = table[i, j]
-                for k in range(n):
-                    if table[ij, k] != table[i, table[j, k]]:
-                        return (i, j, k)
-        return (-1, -1, -1)
-
-    @njit(cache=True)
-    def self_distrib_violation_numba(table):
-        n = table.shape[0]
-        for x in range(n):
-            for y in range(n):
-                xy = table[x, y]
-                for z in range(n):
-                    if table[xy, z] != table[table[x, z], table[y, z]]:
-                        return (x, y, z)
-        return (-1, -1, -1)
-
-    @njit(cache=True)
-    def hopf_witness_numba(table):
-        n = table.shape[0]
-        for x in range(n):
-            for y in range(n):
-                if table[x, y] == x and table[y, x] != y:
-                    return (x, y)
-        return (-1, -1)
-
-    @njit(cache=True)
-    def trefoil_witness_numba(table):
-        n = table.shape[0]
-        for x in range(n):
-            for y in range(n):
-                if table[table[x, y], x] == y and table[table[y, x], y] != x:
-                    return (x, y)
-        return (-1, -1)
-
-    assoc_violation = assoc_violation_numba
-    self_distrib_violation = self_distrib_violation_numba
-    hopf_witness_scan = hopf_witness_numba
-    trefoil_witness_scan = trefoil_witness_numba
-else:
-    assoc_violation = assoc_violation_numpy
-    self_distrib_violation = self_distrib_violation_numpy
-    hopf_witness_scan = hopf_witness_numpy
-    trefoil_witness_scan = trefoil_witness_numpy

@@ -43,7 +43,9 @@ def _load_group(spec):
     try:
         return groups.parse_group_spec(spec)
     except groups.UnknownFamily:
-        pass
+        families = {part.partition(":")[0].strip() for part in spec.split("*")}
+        if not families.isdisjoint(groups.FAMILIES):
+            raise
     return groups.parse_group_file(_read(spec), name=spec)
 
 
@@ -70,8 +72,6 @@ def _parse_normal_spec(g, spec):
 
 def _build_parser():
     p = argparse.ArgumentParser(prog="quandlekit", description=__doc__)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count (output is deterministic regardless)")
     sub = p.add_subparsers(dest="verb", required=True)
 
     v = sub.add_parser("validate", help="validate a table file")
@@ -133,12 +133,15 @@ def _cmd_construct(args):
         if not args.name:
             raise UsageError("catalog-quandle requires --name")
         fam, _, arg = args.name.partition(":")
-        if fam == "trivial":
-            q = quandles.trivial_quandle(int(arg))
-        elif fam == "dihedral":
-            q = quandles.dihedral_quandle(int(arg))
-        else:
+        builders = {"trivial": quandles.trivial_quandle,
+                    "dihedral": quandles.dihedral_quandle}
+        if fam not in builders:
             raise QuandleKitError(f"unknown quandle family {fam!r}")
+        try:
+            n = int(arg)
+        except ValueError:
+            raise UsageError(f"--name {args.name!r} needs an integer parameter")
+        q = builders[fam](n)
     else:
         if not args.group:
             raise UsageError(f"{args.construction} requires --group")

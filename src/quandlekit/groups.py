@@ -15,6 +15,7 @@ indices quoted elsewhere (witnesses, CLI output) stay stable:
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -235,7 +236,10 @@ def symmetric_group(n):
     return _from_elements(elements, _perm_mult, f"symmetric({n})")
 
 
-def alternating_group_4():
+def alternating_group(n):
+    if n != 4:
+        raise UnknownFamily(f"alternating({n}) not in catalog (only n = 4)")
+
     def parity(p):
         inv = sum(1 for a, b in itertools.combinations(range(4), 2) if p[a] > p[b])
         return inv % 2
@@ -258,40 +262,30 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, max_order=DEFAULT_MAX_ORDER):
     return validate_group(t, name=f"{a.name}x{b.name}", labels=labels)
 
 
+# family -> (parameter count, order from the parameters, builder)
+FAMILIES = {
+    "cyclic": (1, lambda n: n, cyclic_group),
+    "dihedral": (1, lambda n: 2 * n, dihedral_group),
+    "quaternion8": (0, lambda: 8, quaternion_group),
+    "generalized_quaternion16": (0, lambda: 16, generalized_quaternion16),
+    "symmetric": (1, math.factorial, symmetric_group),
+    "alternating": (1, lambda n: 12, alternating_group),
+}
+
+
 def catalog(name, *params, max_order=DEFAULT_MAX_ORDER):
     """Build a named group from the built-in catalog."""
-    fams = {
-        "cyclic": (1, lambda n: cyclic_group(n)),
-        "dihedral": (1, lambda n: dihedral_group(n)),
-        "quaternion8": (0, quaternion_group),
-        "generalized_quaternion16": (0, generalized_quaternion16),
-        "symmetric": (1, lambda n: symmetric_group(n)),
-        "alternating": (1, lambda n: alternating_group_4() if n == 4
-                        else _bad_alternating(n)),
-    }
-    if name not in fams:
+    if name not in FAMILIES:
         raise UnknownFamily(f"unknown group family {name!r}")
-    arity, builder = fams[name]
+    arity, order, builder = FAMILIES[name]
     if len(params) != arity:
         raise UnknownFamily(f"{name} takes {arity} parameter(s)")
     if params and (params[0] < 1):
         raise UnknownFamily(f"{name} parameter must be positive")
-    est = {"cyclic": lambda p: p[0], "dihedral": lambda p: 2 * p[0],
-           "quaternion8": lambda p: 8, "generalized_quaternion16": lambda p: 16,
-           "symmetric": lambda p: _factorial(p[0]),
-           "alternating": lambda p: 12}[name](params)
+    est = order(*params)
     if est > max_order:
         raise OrderTooLarge(f"order {est} exceeds bound {max_order}")
     return builder(*params)
-
-
-def _bad_alternating(n):
-    raise UnknownFamily(f"alternating({n}) not in catalog (only n = 4)")
-
-
-def _factorial(n):
-    import math
-    return math.factorial(n)
 
 
 def parse_group_spec(spec, max_order=DEFAULT_MAX_ORDER):
@@ -337,7 +331,7 @@ def census_catalog(max_order):
     if max_order >= 24:
         gs.append(symmetric_group(4))
     if max_order >= 12:
-        gs.append(alternating_group_4())
+        gs.append(alternating_group(4))
     products = [(2, 2), (2, 4), (2, 6), (2, 8), (4, 4)]
     for a, b in products:
         if a * b <= max_order:
@@ -490,20 +484,21 @@ def identity_automorphism(g: FiniteGroup):
 
 # -- file format --------------------------------------------------------------
 
-def parse_group_file(text, name="group"):
-    """Group table format: line 1 `group <n>`, then n rows of n integers.
-    `#` starts a comment line."""
+def _parse_table_file(text, kind):
+    """Table format shared by groups and quandles: line 1 `<kind> <n>`,
+    then n rows of n integers.  `#` starts a comment.  Returns the rows as
+    an int64 array; the caller validates the axioms."""
     lines = [ln for ln in (raw.split("#")[0].strip() for raw in text.splitlines())
              if ln]
     if not lines:
-        raise FileFormatError("empty group file")
+        raise FileFormatError(f"empty {kind} file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "group":
-        raise FileFormatError("first line must be 'group <n>'")
+    if len(head) != 2 or head[0] != kind:
+        raise FileFormatError(f"first line must be '{kind} <n>'")
     try:
         n = int(head[1])
     except ValueError:
-        raise FileFormatError("first line must be 'group <n>'")
+        raise FileFormatError(f"first line must be '{kind} <n>'")
     if len(lines) != n + 1:
         raise FileFormatError(f"expected {n} table rows, got {len(lines) - 1}")
     rows = []
@@ -515,11 +510,20 @@ def parse_group_file(text, name="group"):
         if len(row) != n:
             raise FileFormatError(f"row has {len(row)} entries, expected {n}")
         rows.append(row)
-    return validate_group(np.array(rows, dtype=np.int64), name=name)
+    return np.array(rows, dtype=np.int64)
+
+
+def _format_table_file(kind, table):
+    out = [f"{kind} {table.shape[0]}"]
+    for row in table:
+        out.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(out) + "\n"
+
+
+def parse_group_file(text, name="group"):
+    """Group table file: `group <n>`, then the n x n Cayley table."""
+    return validate_group(_parse_table_file(text, "group"), name=name)
 
 
 def format_group_file(g: FiniteGroup):
-    out = [f"group {g.order}"]
-    for i in range(g.order):
-        out.append(" ".join(str(int(v)) for v in g.table[i]))
-    return "\n".join(out) + "\n"
+    return _format_table_file("group", g.table)

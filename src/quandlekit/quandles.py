@@ -23,6 +23,7 @@ from .errors import (
     SizeMismatch,
 )
 from .groups import FiniteGroup, GroupAutomorphism, Subgroup
+from .groups import _format_table_file, _parse_table_file
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,35 +358,10 @@ def relabel(q: FiniteQuandle, perm):
 # -- file format --------------------------------------------------------------
 
 def parse_quandle_file(text, label=""):
-    """Quandle table format: line 1 `quandle <n>`, then n rows of n
-    integers (row x, column y = x <| y).  `#` starts a comment line."""
-    lines = [ln for ln in (raw.split("#")[0].strip() for raw in text.splitlines())
-             if ln]
-    if not lines:
-        raise FileFormatError("empty quandle file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "quandle":
-        raise FileFormatError("first line must be 'quandle <n>'")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise FileFormatError("first line must be 'quandle <n>'")
-    if len(lines) != n + 1:
-        raise FileFormatError(f"expected {n} table rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        try:
-            row = [int(v) for v in ln.split()]
-        except ValueError:
-            raise FileFormatError(f"non-integer entry in row: {ln!r}")
-        if len(row) != n:
-            raise FileFormatError(f"row has {len(row)} entries, expected {n}")
-        rows.append(row)
-    return validate_quandle(np.array(rows, dtype=np.int64), label=label)
+    """Quandle table file: `quandle <n>`, then n rows of n integers
+    (row x, column y = x <| y)."""
+    return validate_quandle(_parse_table_file(text, "quandle"), label=label)
 
 
 def format_quandle_file(q: FiniteQuandle):
-    out = [f"quandle {q.order}"]
-    for i in range(q.order):
-        out.append(" ".join(str(int(v)) for v in q.table[i]))
-    return "\n".join(out) + "\n"
+    return _format_table_file("quandle", q.table)

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from quandlekit.cli import main
@@ -99,6 +101,28 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "conj", "--group", str(p))
         assert code == 0
         assert parse_quandle_file(out).order == 3
+
+    def test_group_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("group 2\n0 1\n1 0\n"))
+        code, out, _ = run(capsys, "construct", "conj", "--group", "-")
+        assert code == 0
+        assert parse_quandle_file(out).order == 2
+
+    @pytest.mark.parametrize("spec, message", [
+        ("alternating:5", "alternating(5) not in catalog (only n = 4)"),
+        ("cyclic:0", "cyclic parameter must be positive"),
+        ("cyclic:3,4", "cyclic takes 1 parameter(s)"),
+    ])
+    def test_catalog_error_is_reported(self, capsys, spec, message):
+        code, _, err = run(capsys, "construct", "conj", "--group", spec)
+        assert code == 65
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["dihedral:x", "trivial:"])
+    def test_catalog_quandle_bad_parameter_is_64(self, capsys, name):
+        code, _, err = run(capsys, "construct", "catalog-quandle", "--name", name)
+        assert code == 64
+        assert err.startswith("usage error: ")
 
 
 class TestColor:

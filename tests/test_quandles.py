@@ -17,6 +17,7 @@ from quandlekit.errors import (
 from quandlekit.groups import (
     automorphisms,
     catalog,
+    census_catalog,
     center,
     cyclic_group,
     identity_automorphism,
@@ -89,34 +90,99 @@ class TestValidateQuandle:
                 assert q.op(q.inv_op(x, y), y) == x
 
 
-class TestKernelBackends:
-    """The numba fast path and the numpy fallback must agree bit-for-bit,
-    including the position of the first reported violation."""
+def _assoc_loop(t):
+    n = len(t)
+    for i in range(n):
+        for j in range(n):
+            ij = t[i][j]
+            for k in range(n):
+                if t[ij][k] != t[i][t[j][k]]:
+                    return (i, j, k)
+    return (-1, -1, -1)
 
-    def test_agreement_on_valid_tables(self):
-        for q in (dihedral_quandle(7), trivial_quandle(5),
-                  conj_quandle(catalog("symmetric", 3))):
-            t = np.asarray(q.table)
-            assert _kernels.self_distrib_violation(t) == \
-                _kernels.self_distrib_violation_numpy(t)
-            assert _kernels.hopf_witness_scan(t) == \
-                _kernels.hopf_witness_numpy(t)
-            assert _kernels.trefoil_witness_scan(t) == \
-                _kernels.trefoil_witness_numpy(t)
 
-    def test_agreement_on_violations(self):
-        t = np.array([[0, 2, 0],
-                      [2, 1, 1],
-                      [1, 0, 2]], dtype=np.int64)
-        v = _kernels.self_distrib_violation(t)
-        assert v == _kernels.self_distrib_violation_numpy(t)
-        assert v != (-1, -1, -1)
+def _self_distrib_loop(t):
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            xy = t[x][y]
+            for z in range(n):
+                if t[xy][z] != t[t[x][z]][t[y][z]]:
+                    return (x, y, z)
+    return (-1, -1, -1)
 
-    def test_assoc_agreement(self):
-        g = catalog("dihedral", 4)
-        t = np.asarray(g.table)
-        assert _kernels.assoc_violation(t) == _kernels.assoc_violation_numpy(t) \
-            == (-1, -1, -1)
+
+def _hopf_loop(t):
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            if t[x][y] == x and t[y][x] != y:
+                return (x, y)
+    return (-1, -1)
+
+
+def _trefoil_loop(t):
+    n = len(t)
+    for x in range(n):
+        for y in range(n):
+            if t[t[x][y]][x] == y and t[t[y][x]][y] != x:
+                return (x, y)
+    return (-1, -1)
+
+
+# kernel name -> independent row-major loop giving the expected first hit
+LOOP_ORACLES = {
+    "assoc_violation": _assoc_loop,
+    "self_distrib_violation": _self_distrib_loop,
+    "hopf_witness_scan": _hopf_loop,
+    "trefoil_witness_scan": _trefoil_loop,
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_tables():
+    """Tables of order <= 6: group and quandle tables under random
+    relabelings (valid), each also with one random entry overwritten
+    (mostly invalid, first hit anywhere), plus uniformly random tables."""
+    rng = np.random.default_rng(20261017)
+    groups = census_catalog(6)
+    valid = [g.table for g in groups] + [conj_quandle(g).table for g in groups]
+    for n in range(1, 7):
+        valid += [trivial_quandle(n).table, dihedral_quandle(n).table]
+    tables = []
+    for t in valid:
+        n = t.shape[0]
+        for _ in range(5):
+            p = rng.permutation(n)
+            r = np.empty_like(t)
+            r[np.ix_(p, p)] = p[t]
+            m = r.copy()
+            m[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            tables += [r, m]
+    for n in range(1, 7):
+        tables += [rng.integers(n, size=(n, n)) for _ in range(20)]
+    return tables
+
+
+class TestKernelsMatchLoops:
+    """Each kernel reports exactly the first hit of the plain row-major
+    loop, or all -1 when the loop finds none."""
+
+    @pytest.mark.parametrize("name", sorted(LOOP_ORACLES))
+    def test_seeded_tables(self, name, seeded_tables):
+        kernel = getattr(_kernels, name)
+        for t in seeded_tables:
+            assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
+
+    def test_tables_have_hits_and_misses(self, seeded_tables):
+        for oracle in LOOP_ORACLES.values():
+            firsts = {oracle(t.tolist())[0] for t in seeded_tables}
+            assert -1 in firsts and len(firsts) > 2
+
+    def test_assoc_first_violation(self):
+        # i - j mod 3: (0-0)-1 = 2 but 0-(0-1) = 1
+        t = np.array([[(i - j) % 3 for j in range(3)] for i in range(3)])
+        assert _kernels.assoc_violation(t) == (0, 0, 1)
 
 
 class TestConjQuandle:
