@@ -13,6 +13,7 @@ import sys
 from . import criteria, groups, quandles, tangles
 from .errors import (
     GroupValidationError,
+    OrderTooLarge,
     QuandleKitError,
     QuandleValidationError,
 )
@@ -141,6 +142,11 @@ def _cmd_construct(args):
             n = int(arg)
         except ValueError:
             raise UsageError(f"--name {args.name!r} needs an integer parameter")
+        if n < 1:
+            raise QuandleKitError(f"{fam} parameter must be positive")
+        if n > groups.DEFAULT_MAX_ORDER:
+            raise OrderTooLarge(
+                f"order {n} exceeds bound {groups.DEFAULT_MAX_ORDER}")
         q = builders[fam](n)
     else:
         if not args.group:

@@ -14,11 +14,19 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _kernels
 from .errors import OrderTooLarge
 from .groups import automorphisms, census_catalog
 from .presentation import Presentation
-from .quandles import FiniteQuandle, galex, invariant_profile, isomorphic
+from .quandles import (
+    FiniteQuandle,
+    galex,
+    invariant_profile,
+    is_homomorphism,
+    isomorphic,
+)
 
 
 @dataclass(frozen=True)
@@ -88,7 +96,9 @@ def census_galex(max_group_order, dedup=False):
     """One record per (catalog group, automorphism) pair with group order
     <= max_group_order, in (group order, group name, automorphism index)
     order.  With dedup, only the first representative of each quandle
-    isomorphism class is kept (flagged as such).
+    isomorphism class is kept (flagged as such).  Dedup first merges each
+    Aut(G)-conjugacy class of automorphisms, checking the conjugator as the
+    isomorphism, and searches isomorphisms among class leaders only.
 
     Returns (records, quandles) aligned lists.
     """
@@ -96,8 +106,11 @@ def census_galex(max_group_order, dedup=False):
         raise OrderTooLarge(
             f"census limited to group order {CENSUS_MAX_ORDER}")
     records, quandles = [], []
+    leaders = []    # census indices of Aut(G)-conjugacy class leaders
     for grp in census_catalog(max_group_order):
-        for ai, sigma in enumerate(automorphisms(grp)):
+        auts = automorphisms(grp)
+        base = len(records)
+        for ai, sigma in enumerate(auts):
             q = galex(grp, sigma)
             records.append(CensusRecord(
                 group_name=grp.name,
@@ -109,9 +122,22 @@ def census_galex(max_group_order, dedup=False):
                 trefoil_admissible=trefoil_witness(q) is None,
             ))
             quandles.append(q)
+        if not dedup:
+            continue
+        for c, (li, phi) in enumerate(_aut_class_leaders(auts)):
+            if li == c:
+                leaders.append(base + c)
+            elif not is_homomorphism(phi, quandles[base + li],
+                                     quandles[base + c]):
+                raise RuntimeError(
+                    f"conjugator does not map GAlex({grp.name}, aut {li}) "
+                    f"onto GAlex({grp.name}, aut {c})")
     if not dedup:
         return records, quandles
-    kept_r, kept_q = dedup_by_isomorphism(records, quandles)
+    # A non-leader is isomorphic to its earlier leader, so the first record
+    # of every isomorphism class is a leader: only leaders need comparing.
+    kept_r, kept_q = dedup_by_isomorphism([records[i] for i in leaders],
+                                          [quandles[i] for i in leaders])
     kept_r = [
         CensusRecord(r.group_name, r.group_order, r.automorphism_index,
                      r.quandle_order, True, r.hopf_admissible,
@@ -119,6 +145,25 @@ def census_galex(max_group_order, dedup=False):
         for r in kept_r
     ]
     return kept_r, kept_q
+
+
+def _aut_class_leaders(auts):
+    """For each automorphism sigma_c of G (index c into auts, which holds all
+    of Aut(G)), the pair (l, phi): l is the least index in the Aut(G)-
+    conjugacy class of sigma_c and phi in Aut(G) has phi sigma_l phi^-1 =
+    sigma_c, so phi is an isomorphism GAlex(G, sigma_l) -> GAlex(G, sigma_c)."""
+    index = {a.map: i for i, a in enumerate(auts)}
+    maps = [np.asarray(a.map, dtype=np.int64) for a in auts]
+    inverses = [np.argsort(m) for m in maps]
+    out = [None] * len(auts)
+    for i, sigma in enumerate(maps):
+        if out[i] is not None:
+            continue
+        for phi, phi_inv in zip(maps, inverses):
+            c = index[tuple(phi[sigma[phi_inv]].tolist())]
+            if out[c] is None:
+                out[c] = (i, phi)
+    return out
 
 
 def dedup_by_isomorphism(records, quandles):

@@ -124,6 +124,21 @@ class TestConstruct:
         assert code == 64
         assert err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("name, message", [
+        ("dihedral:0", "dihedral parameter must be positive"),
+        ("trivial:-2", "trivial parameter must be positive"),
+        ("dihedral:65", "order 65 exceeds bound 64"),
+    ])
+    def test_catalog_quandle_parameter_out_of_range_is_65(
+            self, capsys, monkeypatch, name, message):
+        def no_table(n):
+            raise AssertionError(f"table of order {n} built")
+        monkeypatch.setattr("quandlekit.quandles.dihedral_quandle", no_table)
+        monkeypatch.setattr("quandlekit.quandles.trivial_quandle", no_table)
+        code, _, err = run(capsys, "construct", "catalog-quandle", "--name", name)
+        assert code == 65
+        assert err == f"error: {message}\n"
+
 
 class TestColor:
     def test_hopf_r3_count(self, capsys, r3_file):

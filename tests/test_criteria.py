@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from quandlekit import criteria
 from quandlekit.criteria import (
     CensusRecord,
     Witness,
@@ -13,7 +15,12 @@ from quandlekit.criteria import (
     trefoil_witness,
 )
 from quandlekit.errors import OrderTooLarge
-from quandlekit.groups import automorphisms, catalog, normal_subgroups
+from quandlekit.groups import (
+    automorphisms,
+    catalog,
+    normal_subgroups,
+    parse_group_spec,
+)
 from quandlekit.quandles import (
     conj_quandle,
     dihedral_quandle,
@@ -145,6 +152,40 @@ class TestCensus:
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             census_galex(128)
+
+    def test_dedup_matches_unmerged_pairwise_dedup(self):
+        # The conjugacy merge must keep exactly what pairwise isomorphism
+        # search over every raw record keeps.
+        records, quandles = census_galex(12, dedup=True)
+        ref_r, ref_q = dedup_by_isomorphism(*census_galex(12))
+        assert records == [
+            dataclasses.replace(r, isomorphism_class_representative=True)
+            for r in ref_r]
+        assert all(a.same_table(b) for a, b in zip(quandles, ref_q))
+        assert len(quandles) == len(ref_q)
+
+    @pytest.mark.parametrize("spec, classes", [
+        ("quaternion8", 5),                     # Aut = S4
+        ("cyclic:2*cyclic:2*cyclic:2", 6),      # Aut = GL(3, 2)
+        ("symmetric:3", 3),
+        ("dihedral:4", 5),
+        ("cyclic:12", 4),                       # abelian Aut
+    ])
+    def test_aut_conjugacy_class_counts(self, spec, classes):
+        auts = automorphisms(parse_group_spec(spec))
+        leaders = criteria._aut_class_leaders(auts)
+        assert sum(li == c for c, (li, _) in enumerate(leaders)) == classes
+        for c, (li, phi) in enumerate(leaders):
+            assert li <= c and leaders[li][0] == li
+            phi_inv = {int(v): x for x, v in enumerate(phi)}
+            conj = tuple(int(phi[auts[li].map[phi_inv[y]]])
+                         for y in range(len(phi)))
+            assert conj == auts[c].map
+
+    def test_failed_conjugation_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(criteria, "is_homomorphism", lambda *a: False)
+        with pytest.raises(RuntimeError, match="conjugator"):
+            census_galex(4, dedup=True)
 
     def test_format(self):
         records = [CensusRecord("cyclic(1)", 1, 0, 1, True, True, True)]
