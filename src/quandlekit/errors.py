@@ -120,3 +120,7 @@ class UnknownName(QuandleKitError):
 
 class OutputCapExceeded(QuandleKitError):
     pass
+
+
+class BadSetting(QuandleKitError):
+    """An environment variable holds a value the tool cannot use."""

@@ -62,9 +62,9 @@ def validate_quandle(table, label=""):
         raise NotIdempotent(int(bad[0, 0]))
 
     ar = np.arange(n)
-    for y in range(n):
-        if not np.array_equal(np.sort(t[:, y]), ar):
-            raise ColumnNotBijective(y)
+    bad = np.flatnonzero((np.sort(t, axis=0) != ar[:, None]).any(axis=0))
+    if bad.size:
+        raise ColumnNotBijective(int(bad[0]))
 
     x, y, z = _kernels.self_distrib_violation(t)
     if x != -1:

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import (
+    BadSetting,
     DanglingArc,
     DisconnectedStrand,
     DuplicateUnderOut,
@@ -179,6 +180,20 @@ def check_coloring(d, q, assignment):
     return True
 
 
+def _output_cap():
+    raw = os.environ.get("QUANDLE_OUTPUT_CAP")
+    if raw is None:
+        return DEFAULT_OUTPUT_CAP
+    try:
+        cap = int(raw)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise BadSetting(
+        f"QUANDLE_OUTPUT_CAP must be a non-negative integer, got {raw!r}")
+
+
 def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count", cap=None):
     """Solve the coloring constraint system.
 
@@ -192,7 +207,7 @@ def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count", cap=No
         return sum(1 for _ in _colorings(d, q))
     if mode == "list":
         if cap is None:
-            cap = int(os.environ.get("QUANDLE_OUTPUT_CAP", DEFAULT_OUTPUT_CAP))
+            cap = _output_cap()
         out = []
         for col in _colorings(d, q):
             if len(out) >= cap:

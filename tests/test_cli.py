@@ -1,7 +1,14 @@
 import io
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import quandlekit
 from quandlekit.cli import main
 from quandlekit.groups import automorphisms, catalog
 from quandlekit.quandles import (
@@ -47,6 +54,30 @@ class TestValidate:
         assert code == 1
         assert out.startswith("INVALID")
         assert "column 0" in out
+
+    def test_order_400_under_1gib_address_space(self, tmp_path):
+        # the whole self-distributivity cube of R_400 would need ~1 GB
+        n = 400
+        ar = np.arange(n)
+        rows = (2 * ar[None, :] - ar[:, None]) % n
+        p = tmp_path / "r400.qdl"
+        p.write_text(f"quandle {n}\n"
+                     + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        src = str(Path(quandlekit.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        limit = 2 ** 30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "quandlekit.cli", "validate", "quandle",
+             str(p)],
+            env=env, preexec_fn=cap_address_space, capture_output=True,
+            text=True, timeout=120)
+        assert (proc.returncode, proc.stdout.strip()) == (0, "OK"), proc.stderr
 
     def test_group_ok(self, capsys, tmp_path):
         p = tmp_path / "z3.grp"
@@ -166,6 +197,14 @@ class TestColor:
                            "--quandle", galex_q8_file, "--admissible")
         assert code == 0
         assert out.startswith("NON-ADMISSIBLE witness 0 2 ")
+
+    def test_bad_output_cap_is_65(self, capsys, monkeypatch, r3_file):
+        monkeypatch.setenv("QUANDLE_OUTPUT_CAP", "abc")
+        code, out, err = run(capsys, "color", "--tangle", "builtin:trefoil",
+                             "--quandle", r3_file, "--list")
+        assert code == 65
+        assert out == ""
+        assert "QUANDLE_OUTPUT_CAP" in err
 
     def test_tangle_from_file(self, capsys, tmp_path, r3_file):
         p = tmp_path / "hopf.tgl"

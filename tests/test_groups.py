@@ -49,14 +49,16 @@ class TestValidateGroup:
             validate_group(t)
 
     def test_not_associative(self):
-        # order-5 Latin square with identity but non-associative:
-        # subtraction mod 5, with column fudged to keep 0 an identity
-        t = [[(i - j) % 5 for j in range(5)] for i in range(5)]
-        for i in range(5):
-            t[i][0] = i
-            t[0][i] = i
-        with pytest.raises((NotAssociative, NotLatinSquare)):
+        # a Latin square with identity 0 (a loop of order 5, the least
+        # order of a non-group loop) where (1*1)*2 = 2 but 1*(1*2) = 4
+        t = [[0, 1, 2, 3, 4],
+             [1, 0, 3, 4, 2],
+             [2, 3, 4, 0, 1],
+             [3, 4, 1, 2, 0],
+             [4, 2, 0, 1, 3]]
+        with pytest.raises(NotAssociative) as exc:
             validate_group(t)
+        assert exc.value.triple == (1, 1, 2)
 
     def test_s3_brute_force_associativity(self):
         g = catalog("symmetric", 3)

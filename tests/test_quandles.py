@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,16 @@ def _trefoil_loop(t):
     return (-1, -1)
 
 
+def dihedral_quandle_table(n):
+    ar = np.arange(n)
+    return (2 * ar[None, :] - ar[:, None]) % n
+
+
+def cyclic_group_table(n):
+    ar = np.arange(n)
+    return (ar[:, None] + ar[None, :]) % n
+
+
 # kernel name -> independent row-major loop giving the expected first hit
 LOOP_ORACLES = {
     "assoc_violation": _assoc_loop,
@@ -173,6 +184,33 @@ class TestKernelsMatchLoops:
         kernel = getattr(_kernels, name)
         for t in seeded_tables:
             assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
+
+    # A slab holds max(1, _SLAB // n^2) x-values.  _SLAB = 1 gives one x
+    # per slab; _SLAB = 50 gives 3 for n = 4 and 2 for n = 5, so the last
+    # slab is partial.  Both put many first hits past the first slab.
+    @pytest.mark.parametrize("slab", [1, 50])
+    @pytest.mark.parametrize("name", ["assoc_violation", "self_distrib_violation"])
+    def test_seeded_tables_across_slabs(self, name, slab, seeded_tables,
+                                        monkeypatch):
+        monkeypatch.setattr(_kernels, "_SLAB", slab)
+        kernel = getattr(_kernels, name)
+        for t in seeded_tables:
+            assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
+
+    @pytest.mark.parametrize("name,build", [
+        ("self_distrib_violation", dihedral_quandle_table),
+        ("assoc_violation", cyclic_group_table),
+    ])
+    def test_memory_bounded(self, name, build):
+        # full scans (no violation); the whole n^3 cube would be ~1 GB
+        table = build(400)
+        tracemalloc.start()
+        try:
+            assert getattr(_kernels, name)(table) == (-1, -1, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_tables_have_hits_and_misses(self, seeded_tables):
         for oracle in LOOP_ORACLES.values():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_force_colorings
 from quandlekit.errors import (
+    BadSetting,
     DanglingArc,
     DisconnectedStrand,
     DuplicateUnderOut,
@@ -178,6 +179,13 @@ class TestSolver:
         monkeypatch.setenv("QUANDLE_OUTPUT_CAP", "3")
         d = builtin_tangle("hopf")
         with pytest.raises(OutputCapExceeded):
+            enumerate_colorings(d, trivial_quandle(3), "list")
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
+    def test_bad_output_cap(self, monkeypatch, value):
+        monkeypatch.setenv("QUANDLE_OUTPUT_CAP", value)
+        d = builtin_tangle("hopf")
+        with pytest.raises(BadSetting, match="QUANDLE_OUTPUT_CAP"):
             enumerate_colorings(d, trivial_quandle(3), "list")
 
     def test_unknot_admissible(self):
