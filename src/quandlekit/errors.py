@@ -38,6 +38,10 @@ class NoIdentity(GroupValidationError):
         super().__init__("no two-sided identity element")
 
 
+class NotASubgroup(QuandleKitError, ValueError):
+    """An explicit element set is empty, out of range or not closed."""
+
+
 class UnknownFamily(QuandleKitError):
     pass
 

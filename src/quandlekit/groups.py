@@ -26,6 +26,7 @@ from .errors import (
     FileFormatError,
     NoIdentity,
     NotAssociative,
+    NotASubgroup,
     NotLatinSquare,
     OrderTooLarge,
     UnknownFamily,
@@ -79,12 +80,6 @@ class GroupAutomorphism:
         if len(self.map) != n or sorted(self.map) != list(range(n)):
             raise ValueError("map is not a permutation of the group elements")
 
-    def apply(self, x):
-        return self.map[x]
-
-    def is_identity(self):
-        return all(self.map[i] == i for i in range(self.group.order))
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -100,53 +95,62 @@ class Subgroup:
         return len(self.elements)
 
 
-def validate_group(table, name="group", labels=()):
-    """Check all group axioms on an n x n table and build a FiniteGroup.
-
-    Raises NotLatinSquare / NoIdentity / NotAssociative naming the first
-    violation found.
-    """
+def _square_table(table):
+    """The table as an int64 array, checked to be a nonempty square matrix
+    with entries in 0..n-1."""
     t = np.asarray(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise FileFormatError("table must be a nonempty square matrix")
     n = t.shape[0]
     if t.min() < 0 or t.max() >= n:
         raise FileFormatError(f"table entries must lie in 0..{n - 1}")
+    return t
 
-    for i in range(n):
-        row = t[i]
-        if len(set(row.tolist())) != n:
-            seen = set()
-            for v in row.tolist():
-                if v in seen:
-                    raise NotLatinSquare("row", i, v)
-                seen.add(v)
-        col = t[:, i]
-        if len(set(col.tolist())) != n:
-            seen = set()
-            for v in col.tolist():
-                if v in seen:
-                    raise NotLatinSquare("column", i, v)
-                seen.add(v)
+
+def _first_repeat(lines):
+    """The first row of a table from `_square_table` (pass its transpose
+    for columns) that is not a permutation, as (index, first entry
+    repeated in scan order); None if every row is a permutation."""
+    bad = np.flatnonzero(
+        (np.sort(lines, axis=1) != np.arange(lines.shape[0])).any(axis=1))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    seen = set()
+    for v in lines[i].tolist():
+        if v in seen:
+            return i, v
+        seen.add(v)
+
+
+def validate_group(table, name="group", labels=()):
+    """Check all group axioms on an n x n table and build a FiniteGroup.
+
+    Raises NotLatinSquare / NoIdentity / NotAssociative naming the first
+    violation found; the Latin-square check visits row i before column i,
+    for i = 0, 1, ...
+    """
+    t = _square_table(table)
+    n = t.shape[0]
+
+    row, col = _first_repeat(t), _first_repeat(t.T)
+    if row is not None and (col is None or row[0] <= col[0]):
+        raise NotLatinSquare("row", *row)
+    if col is not None:
+        raise NotLatinSquare("column", *col)
 
     ar = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], ar) and np.array_equal(t[:, e], ar):
-            identity = e
-            break
-    if identity is None:
+    ids = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
+    if not ids.size:
         raise NoIdentity()
+    identity = int(ids[0])
 
     i, j, k = _kernels.assoc_violation(t)
     if i != -1:
         raise NotAssociative(i, j, k)
 
-    inverse = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        y = int(np.argwhere(t[x] == identity)[0, 0])
-        assert t[y, x] == identity
-        inverse[x] = y
+    inverse = np.argmax(t == identity, axis=1)
+    assert (t[inverse, ar] == identity).all()
 
     t.setflags(write=False)
     inverse.setflags(write=False)
@@ -156,14 +160,12 @@ def validate_group(table, name="group", labels=()):
 
 # -- catalog families ---------------------------------------------------------
 
-def _from_elements(elements, mult, name):
+def _from_elements(elements, mult, name, labels=None):
     idx = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    t = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            t[i, j] = idx[mult(a, b)]
-    return validate_group(t, name=name, labels=tuple(str(e) for e in elements))
+    t = [[idx[mult(a, b)] for b in elements] for a in elements]
+    if labels is None:
+        labels = tuple(str(e) for e in elements)
+    return validate_group(t, name=name, labels=labels)
 
 
 def cyclic_group(n):
@@ -181,9 +183,8 @@ def dihedral_group(n):
             return ((i + k) % n, l)
         return ((i - k) % n, (1 + l) % 2)
 
-    g = _from_elements(elements, mult, f"dihedral({n})")
     labels = tuple(f"r{i}" if b == 0 else f"r{i}s" for b in (0, 1) for i in range(n))
-    return FiniteGroup(g.order, g.table, g.identity, g.inverse, g.name, labels)
+    return _from_elements(elements, mult, f"dihedral({n})", labels)
 
 
 def _quat_mult(a, b):
@@ -205,9 +206,8 @@ def _quat_mult(a, b):
 
 def quaternion_group():
     elements = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
-    g = _from_elements(elements, _quat_mult, "quaternion8")
-    labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    return FiniteGroup(g.order, g.table, g.identity, g.inverse, g.name, labels)
+    return _from_elements(elements, _quat_mult, "quaternion8",
+                          ("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
 
 
 def generalized_quaternion16():
@@ -219,9 +219,8 @@ def generalized_quaternion16():
         i = (i1 + (i2 if j1 == 0 else -i2) + (4 if j1 == 1 and j2 == 1 else 0)) % 8
         return (i, (j1 + j2) % 2)
 
-    g = _from_elements(elements, mult, "generalized_quaternion16")
     labels = tuple(f"a{i}" if j == 0 else f"a{i}b" for j in (0, 1) for i in range(8))
-    return FiniteGroup(g.order, g.table, g.identity, g.inverse, g.name, labels)
+    return _from_elements(elements, mult, "generalized_quaternion16", labels)
 
 
 def _perm_mult(p, q):
@@ -252,11 +251,9 @@ def direct_product(a: FiniteGroup, b: FiniteGroup, max_order=DEFAULT_MAX_ORDER):
     n = a.order * b.order
     if n > max_order:
         raise OrderTooLarge(f"product order {n} exceeds bound {max_order}")
-    t = np.empty((n, n), dtype=np.int64)
-    for xa in range(a.order):
-        for xb in range(b.order):
-            x = xa * b.order + xb
-            t[x] = (a.table[xa][:, None] * b.order + b.table[xb][None, :]).reshape(-1)
+    # t[(xa, xb), (ya, yb)] = a[xa, ya] * |B| + b[xb, yb]
+    t = (a.table[:, None, :, None] * b.order
+         + b.table[None, :, None, :]).reshape(n, n)
     labels = tuple(f"({a.label(xa)},{b.label(xb)})"
                    for xa in range(a.order) for xb in range(b.order))
     return validate_group(t, name=f"{a.name}x{b.name}", labels=labels)
@@ -348,37 +345,35 @@ def census_catalog(max_order):
 
 # -- subgroups ----------------------------------------------------------------
 
-def _closure(g: FiniteGroup, seed):
-    t = g.table
-    elems = set(seed)
-    elems.add(g.identity)
-    queue = deque(elems)
-    while queue:
-        x = queue.popleft()
-        for y in list(elems):
-            for z in (int(t[x, y]), int(t[y, x])):
-                if z not in elems:
-                    elems.add(z)
-                    queue.append(z)
-    return frozenset(elems)
+def _closure(tables, seed):
+    """Smallest superset of the nonempty index set seed closed under every
+    n x n operation table in tables.  Indices must be in range already:
+    numpy wraps negative ones silently."""
+    mask = np.zeros(tables[0].shape[0], dtype=bool)
+    mask[list(seed)] = True
+    size = 0
+    while np.count_nonzero(mask) > size:
+        idx = np.flatnonzero(mask)
+        size = idx.size
+        for t in tables:
+            mask[t[np.ix_(idx, idx)]] = True
+    return frozenset(np.flatnonzero(mask).tolist())
 
 
 def _is_normal(g: FiniteGroup, elems):
-    t, inv = g.table, g.inverse
-    s = set(elems)
-    for x in range(g.order):
-        xi = int(inv[x])
-        for h in elems:
-            if int(t[int(t[xi, h]), x]) not in s:
-                return False
-    return True
+    h = np.array(list(elems), dtype=np.int64)
+    inside = np.zeros(g.order, dtype=bool)
+    inside[h] = True
+    t = g.table
+    conj = t[t[g.inverse][:, h], np.arange(g.order)[:, None]]   # x^-1 h x
+    return bool(inside[conj].all())
 
 
 def subgroups(g: FiniteGroup):
     """All subgroups, by BFS joins over the lattice seeded with the cyclic
     subgroups.  Complete because every subgroup is the join of the cyclic
     subgroups it contains."""
-    cyclics = {_closure(g, {x}) for x in range(g.order)}
+    cyclics = {_closure((g.table,), {x}) for x in range(g.order)}
     found = set(cyclics)
     queue = deque(found)
     while queue:
@@ -386,7 +381,7 @@ def subgroups(g: FiniteGroup):
         for c in cyclics:
             if c <= s:
                 continue
-            j = _closure(g, s | c)
+            j = _closure((g.table,), s | c)
             if j not in found:
                 found.add(j)
                 queue.append(j)
@@ -400,18 +395,16 @@ def normal_subgroups(g: FiniteGroup):
 
 def center(g: FiniteGroup):
     t = g.table
-    elems = tuple(x for x in range(g.order)
-                  if np.array_equal(t[x], t[:, x]))
-    return Subgroup(g, elems, True)
+    return Subgroup(g, tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist()), True)
 
 
 def subgroup_from_elements(g: FiniteGroup, elements):
     """Wrap an explicit element set, verifying closure."""
     s = frozenset(int(x) for x in elements)
     if not s or any(x < 0 or x >= g.order for x in s):
-        raise ValueError("subgroup elements out of range")
-    if _closure(g, s) != s:
-        raise ValueError("element set is not closed")
+        raise NotASubgroup("subgroup elements out of range")
+    if _closure((g.table,), s) != s:
+        raise NotASubgroup("element set is not closed")
     return Subgroup(g, tuple(sorted(s)), _is_normal(g, s))
 
 
@@ -428,7 +421,7 @@ def _generating_set(g: FiniteGroup):
         for x in range(n):
             if x in sub:
                 continue
-            cl = _closure(g, sub | {x})
+            cl = _closure((g.table,), sub | {x})
             if best_sub is None or len(cl) > len(best_sub):
                 best_x, best_sub = x, cl
         gens.append(best_x)
@@ -514,9 +507,9 @@ def _parse_table_file(text, kind):
 
 
 def _format_table_file(kind, table):
+    # row by row: tolist() of a whole order-1024 table costs about 36 MB
     out = [f"{kind} {table.shape[0]}"]
-    for row in table:
-        out.append(" ".join(str(int(v)) for v in row))
+    out += [" ".join(map(str, row.tolist())) for row in table]
     return "\n".join(out) + "\n"
 
 

@@ -16,14 +16,19 @@ from .errors import (
     AutomorphismMismatch,
     ClosureViolation,
     ColumnNotBijective,
-    FileFormatError,
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
     SizeMismatch,
 )
 from .groups import FiniteGroup, GroupAutomorphism, Subgroup
-from .groups import _format_table_file, _parse_table_file
+from .groups import (
+    _closure,
+    _first_repeat,
+    _format_table_file,
+    _parse_table_file,
+    _square_table,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,22 +54,17 @@ def validate_quandle(table, label=""):
     Raises NotIdempotent / ColumnNotBijective / NotSelfDistributive with the
     first violating indices.
     """
-    t = np.asarray(table, dtype=np.int64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
-        raise FileFormatError("table must be a nonempty square matrix")
+    t = _square_table(table)
     n = t.shape[0]
-    if t.min() < 0 or t.max() >= n:
-        raise FileFormatError(f"table entries must lie in 0..{n - 1}")
-
-    diag = np.diagonal(t)
-    bad = np.argwhere(diag != np.arange(n))
-    if bad.size:
-        raise NotIdempotent(int(bad[0, 0]))
-
     ar = np.arange(n)
-    bad = np.flatnonzero((np.sort(t, axis=0) != ar[:, None]).any(axis=0))
+
+    bad = np.flatnonzero(np.diagonal(t) != ar)
     if bad.size:
-        raise ColumnNotBijective(int(bad[0]))
+        raise NotIdempotent(int(bad[0]))
+
+    col = _first_repeat(t.T)
+    if col is not None:
+        raise ColumnNotBijective(col[0])
 
     x, y, z = _kernels.self_distrib_violation(t)
     if x != -1:
@@ -109,50 +109,38 @@ def galex(g: FiniteGroup, sigma: GroupAutomorphism):
     return validate_quandle(t, label=f"GAlex({g.name},{''.join(map(str, sigma.map))})")
 
 
-def hopf_pair_index(nsize, gi, rank):
-    """Row-major (g, n) encoding used by hopf_extension."""
-    return gi * nsize + rank
-
-
 def hopf_extension(g: FiniteGroup, n: Subgroup):
     """Quandle on G x N built from a normal subgroup N of G.
 
-    Index encoding: (g, n) -> g * |N| + rank of n in sorted N.
+    Index encoding: (g, n) -> g * |N| + rank of n in sorted N.  With
+    a = g1 n1 and b = g2 n2, (g1, n1) <| (g2, n2) applies c |-> b^-1 a c a^-1 b
+    to both coordinates.
     """
     if n.group is not g and not n.group.same_table(g):
         raise NotNormal("subgroup is not over the given group")
     if not n.normal:
         raise NotNormal("subgroup is not normal")
-    nelems = list(n.elements)
-    rank = {v: r for r, v in enumerate(nelems)}
-    nsize = len(nelems)
+    nelems = np.asarray(n.elements, dtype=np.int64)
+    nsize = nelems.size
     size = g.order * nsize
     m, inv = g.table, g.inverse
+    rank = np.full(g.order, -1, dtype=np.int64)
+    rank[nelems] = np.arange(nsize)
 
-    def mul(a, b):
-        return int(m[a, b])
-
+    b = m[:, nelems].reshape(-1)               # b[y] = g2 * n2 for y = (g2, n2)
     table = np.empty((size, size), dtype=np.int64)
-    prods = [[(mul(gi, ni)) for ni in nelems] for gi in range(g.order)]
+    # one block of |N| rows per g1 keeps the temporaries at |N| * size
     for g1 in range(g.order):
-        for r1, n1 in enumerate(nelems):
-            a = prods[g1][r1]                  # g1 * n1
-            ai = int(inv[a])
-            x = hopf_pair_index(nsize, g1, r1)
-            for g2 in range(g.order):
-                for r2, n2 in enumerate(nelems):
-                    b = prods[g2][r2]          # g2 * n2
-                    bi = int(inv[b])
-                    # c |-> b^-1 a c a^-1 b
-                    pre = mul(bi, a)
-                    post = mul(ai, b)
-                    first = mul(mul(pre, g1), post)
-                    second = mul(mul(pre, n1), post)
-                    if second not in rank:
-                        raise ClosureViolation(
-                            f"second coordinate {second} left the subgroup")
-                    y = hopf_pair_index(nsize, g2, r2)
-                    table[x, y] = hopf_pair_index(nsize, first, rank[second])
+        a = m[g1, nelems][:, None]             # a[n1] = g1 * n1
+        pre = m[inv[b][None, :], a]            # b^-1 a
+        post = m[inv[a], b[None, :]]           # a^-1 b
+        first = m[m[pre, g1], post]
+        second = m[m[pre, nelems[:, None]], post]
+        bad = rank[second] < 0
+        if bad.any():
+            raise ClosureViolation(
+                f"second coordinate {second.flat[np.argmax(bad)]} left the subgroup")
+        table[g1 * nsize:(g1 + 1) * nsize] = first * nsize + rank[second]
     return validate_quandle(table, label=f"HopfExt({g.name},N{nsize})")
 
 
@@ -166,32 +154,19 @@ def subquandle_closure(q: FiniteQuandle, seed):
         raise ValueError("seed must be nonempty")
     if any(x < 0 or x >= q.order for x in s):
         raise ValueError("seed elements out of range")
-    changed = True
-    while changed:
-        changed = False
-        cur = list(s)
-        for a in cur:
-            for b in cur:
-                for v in (q.op(a, b), q.inv_op(a, b)):
-                    if v not in s:
-                        s.add(v)
-                        changed = True
-    return frozenset(s)
+    return _closure((q.table, q.inv_table), s)
 
 
 def restrict(q: FiniteQuandle, elements, label=""):
     """Subquandle on an explicit closed element set, reindexed by sorted
     position."""
     elems = sorted(int(x) for x in set(elements))
-    idx = {v: i for i, v in enumerate(elems)}
-    k = len(elems)
-    t = np.empty((k, k), dtype=np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            v = q.op(a, b)
-            if v not in idx:
-                raise ValueError("element set is not closed under <|")
-            t[i, j] = idx[v]
+    e = np.array(elems, dtype=np.int64)
+    idx = np.full(q.order, -1, dtype=np.int64)
+    idx[e] = np.arange(e.size)
+    t = idx[q.table[np.ix_(e, e)]]
+    if (t < 0).any():
+        raise ValueError("element set is not closed under <|")
     return validate_quandle(t, label=label or f"{q.label}|{elems}")
 
 

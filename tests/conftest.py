@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from quandlekit.groups import census_catalog
@@ -43,6 +44,31 @@ def random_quandles():
         rng.shuffle(p)
         out.append(relabel(q, p))
     return out
+
+
+@pytest.fixture(scope="session")
+def seeded_tables():
+    """Tables of order <= 6: group and quandle tables under random
+    relabelings (valid), each also with one random entry overwritten
+    (mostly invalid, first hit anywhere), plus uniformly random tables."""
+    rng = np.random.default_rng(20261017)
+    groups = census_catalog(6)
+    valid = [g.table for g in groups] + [conj_quandle(g).table for g in groups]
+    for n in range(1, 7):
+        valid += [trivial_quandle(n).table, dihedral_quandle(n).table]
+    tables = []
+    for t in valid:
+        n = t.shape[0]
+        for _ in range(5):
+            p = rng.permutation(n)
+            r = np.empty_like(t)
+            r[np.ix_(p, p)] = p[t]
+            m = r.copy()
+            m[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            tables += [r, m]
+    for n in range(1, 7):
+        tables += [rng.integers(n, size=(n, n)) for _ in range(20)]
+    return tables
 
 
 def brute_force_colorings(d, q):

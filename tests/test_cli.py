@@ -126,6 +126,17 @@ class TestConstruct:
         assert code == 0
         assert parse_quandle_file(out).order == 4
 
+    @pytest.mark.parametrize("normal, message", [
+        ("1", "element set is not closed"),
+        ("99", "subgroup elements out of range"),
+        ("-1", "subgroup elements out of range"),
+    ])
+    def test_hopf_ext_bad_normal_is_65(self, capsys, normal, message):
+        code, out, err = run(capsys, "construct", "hopf-ext",
+                             "--group", "symmetric:3", "--normal", normal)
+        assert code == 65
+        assert out == "" and err == f"error: {message}\n"
+
     def test_group_from_file(self, capsys, tmp_path):
         p = tmp_path / "z3.grp"
         p.write_text("group 3\n0 1 2\n1 2 0\n2 0 1\n")

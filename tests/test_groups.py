@@ -3,14 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+from quandlekit import _kernels
 from quandlekit.errors import (
+    GroupValidationError,
     NoIdentity,
+    NotASubgroup,
     NotAssociative,
     NotLatinSquare,
     OrderTooLarge,
     UnknownFamily,
 )
 from quandlekit.groups import (
+    Subgroup,
     automorphisms,
     catalog,
     center,
@@ -28,6 +32,66 @@ from quandlekit.groups import (
 
 def z_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _validate_group_loop(t):
+    """Reference for validate_group on an in-range square table: the row i,
+    then column i set scans, the first two-sided identity, associativity,
+    then each inverse by a row search.  Returns (identity, inverses) or
+    raises the first violation."""
+    n = len(t)
+    for i in range(n):
+        for axis, line in (("row", t[i]), ("column", [r[i] for r in t])):
+            seen = set()
+            for v in line:
+                if v in seen:
+                    raise NotLatinSquare(axis, i, v)
+                seen.add(v)
+    ar = list(range(n))
+    identity = next((e for e in range(n)
+                     if t[e] == ar and [r[e] for r in t] == ar), None)
+    if identity is None:
+        raise NoIdentity()
+    i, j, k = _kernels.assoc_violation(np.array(t))
+    if i != -1:
+        raise NotAssociative(i, j, k)
+    inverse = [t[x].index(identity) for x in range(n)]
+    assert all(t[y][x] == identity for x, y in enumerate(inverse))
+    return identity, inverse
+
+
+def _outcome(validate, t):
+    try:
+        return validate(t)
+    except GroupValidationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# a Latin square with identity 0 (a loop of order 5, the least order of
+# a non-group loop) where (1*1)*2 = 2 but 1*(1*2) = 4
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 3, 4, 0, 1],
+         [3, 4, 1, 2, 0],
+         [4, 2, 0, 1, 3]]
+
+
+def _latin_tables():
+    """Z_n Cayley tables with rows or columns shuffled (Latin squares,
+    mostly without an identity) and relabelings of LOOP5 (not
+    associative)."""
+    rng = np.random.default_rng(5)
+    out = []
+    for n in range(2, 8):
+        t = np.array(z_table(n))
+        for _ in range(4):
+            out += [t[rng.permutation(n)], t[:, rng.permutation(n)]]
+    for _ in range(4):
+        p = rng.permutation(5)
+        r = np.empty((5, 5), dtype=np.int64)
+        r[np.ix_(p, p)] = p[np.array(LOOP5)]
+        out.append(r)
+    return out
 
 
 class TestValidateGroup:
@@ -49,15 +113,8 @@ class TestValidateGroup:
             validate_group(t)
 
     def test_not_associative(self):
-        # a Latin square with identity 0 (a loop of order 5, the least
-        # order of a non-group loop) where (1*1)*2 = 2 but 1*(1*2) = 4
-        t = [[0, 1, 2, 3, 4],
-             [1, 0, 3, 4, 2],
-             [2, 3, 4, 0, 1],
-             [3, 4, 1, 2, 0],
-             [4, 2, 0, 1, 3]]
         with pytest.raises(NotAssociative) as exc:
-            validate_group(t)
+            validate_group(LOOP5)
         assert exc.value.triple == (1, 1, 2)
 
     def test_s3_brute_force_associativity(self):
@@ -67,6 +124,18 @@ class TestValidateGroup:
         t = g.table
         for i, j, k in itertools.product(range(6), repeat=3):
             assert t[t[i, j], k] == t[i, t[j, k]]
+
+    def test_matches_loop_oracle(self, seeded_tables):
+        def vectorized(t):
+            g = validate_group(np.array(t))
+            return g.identity, g.inverse.tolist()
+
+        outcomes = set()
+        for t in seeded_tables + _latin_tables():
+            want = _outcome(_validate_group_loop, t.tolist())
+            assert _outcome(vectorized, t.tolist()) == want, t.tolist()
+            outcomes.add(want[0] if isinstance(want[0], str) else "ok")
+        assert outcomes == {"ok", "NotLatinSquare", "NoIdentity", "NotAssociative"}
 
     def test_identity_detected_not_assumed(self):
         # relabel Z3 so the identity is element 2
@@ -224,6 +293,11 @@ class TestSubgroups:
         g = catalog("symmetric", 3)
         with pytest.raises(ValueError):
             subgroup_from_elements(g, [0, 1, 2])
+
+    @pytest.mark.parametrize("elements", [[-1], [6], [0, 6], []])
+    def test_subgroup_from_elements_out_of_range(self, elements):
+        with pytest.raises(NotASubgroup, match="subgroup elements out of range"):
+            subgroup_from_elements(catalog("symmetric", 3), elements)
 
 
 class TestCenter:

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from quandlekit import _kernels
 from quandlekit.errors import (
     AutomorphismMismatch,
+    ClosureViolation,
     ColumnNotBijective,
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
+    QuandleValidationError,
     SizeMismatch,
 )
 from quandlekit.groups import (
+    Subgroup,
     automorphisms,
     catalog,
     census_catalog,
@@ -23,6 +26,7 @@ from quandlekit.groups import (
     cyclic_group,
     identity_automorphism,
     normal_subgroups,
+    subgroups,
 )
 from quandlekit.quandles import (
     conj_quandle,
@@ -150,31 +154,6 @@ LOOP_ORACLES = {
 }
 
 
-@pytest.fixture(scope="module")
-def seeded_tables():
-    """Tables of order <= 6: group and quandle tables under random
-    relabelings (valid), each also with one random entry overwritten
-    (mostly invalid, first hit anywhere), plus uniformly random tables."""
-    rng = np.random.default_rng(20261017)
-    groups = census_catalog(6)
-    valid = [g.table for g in groups] + [conj_quandle(g).table for g in groups]
-    for n in range(1, 7):
-        valid += [trivial_quandle(n).table, dihedral_quandle(n).table]
-    tables = []
-    for t in valid:
-        n = t.shape[0]
-        for _ in range(5):
-            p = rng.permutation(n)
-            r = np.empty_like(t)
-            r[np.ix_(p, p)] = p[t]
-            m = r.copy()
-            m[rng.integers(n), rng.integers(n)] = rng.integers(n)
-            tables += [r, m]
-    for n in range(1, 7):
-        tables += [rng.integers(n, size=(n, n)) for _ in range(20)]
-    return tables
-
-
 class TestKernelsMatchLoops:
     """Each kernel reports exactly the first hit of the plain row-major
     loop, or all -1 when the loop finds none."""
@@ -221,6 +200,45 @@ class TestKernelsMatchLoops:
         # i - j mod 3: (0-0)-1 = 2 but 0-(0-1) = 1
         t = np.array([[(i - j) % 3 for j in range(3)] for i in range(3)])
         assert _kernels.assoc_violation(t) == (0, 0, 1)
+
+
+def _validate_quandle_loop(t):
+    """Reference for validate_quandle on an in-range square table: the
+    inverse table, or the first violation in the order the axioms are
+    checked."""
+    n = len(t)
+    for x in range(n):
+        if t[x][x] != x:
+            raise NotIdempotent(x)
+    for y in range(n):
+        if len({t[x][y] for x in range(n)}) != n:
+            raise ColumnNotBijective(y)
+    x, y, z = _self_distrib_loop(t)
+    if x != -1:
+        raise NotSelfDistributive(x, y, z)
+    inv = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            inv[t[x][y]][y] = x
+    return inv
+
+
+def test_validate_quandle_matches_loop_oracle(seeded_tables):
+    def outcome(validate, t):
+        try:
+            return validate(t)
+        except QuandleValidationError as exc:
+            return type(exc).__name__, str(exc)
+
+    kinds = set()
+    for t in seeded_tables:
+        want = outcome(_validate_quandle_loop, t.tolist())
+        got = outcome(lambda t: validate_quandle(t).inv_table.tolist(), t.tolist())
+        assert got == want, t.tolist()
+        kinds.add(want[0] if isinstance(want, tuple) else "ok")
+    # the tables reach every check that runs before the kernel, whose
+    # first hits TestKernelsMatchLoops pins
+    assert kinds == {"ok", "NotIdempotent", "ColumnNotBijective"}
 
 
 class TestConjQuandle:
@@ -279,7 +297,60 @@ class TestGalex:
             galex(g, aut)
 
 
+def _hopf_extension_loop(g, n):
+    """Reference for hopf_extension's table: one group product at a time,
+    entries in row-major order."""
+    nelems = list(n.elements)
+    rank = {v: r for r, v in enumerate(nelems)}
+    nsize = len(nelems)
+    mul = g.mul
+    table = [[0] * (g.order * nsize) for _ in range(g.order * nsize)]
+    for g1 in range(g.order):
+        for r1, n1 in enumerate(nelems):
+            a = mul(g1, n1)
+            for g2 in range(g.order):
+                for r2, n2 in enumerate(nelems):
+                    b = mul(g2, n2)
+                    # c |-> b^-1 a c a^-1 b
+                    pre, post = mul(g.inv(b), a), mul(g.inv(a), b)
+                    first = mul(mul(pre, g1), post)
+                    second = mul(mul(pre, n1), post)
+                    if second not in rank:
+                        raise ClosureViolation(
+                            f"second coordinate {second} left the subgroup")
+                    table[g1 * nsize + r1][g2 * nsize + r2] = \
+                        first * nsize + rank[second]
+    return table
+
+
 class TestHopfExtension:
+    def test_matches_loop_oracle(self):
+        for g in census_catalog(8):
+            for n in normal_subgroups(g):
+                assert hopf_extension(g, n).table.tolist() == \
+                    _hopf_extension_loop(g, n), (g.name, n.elements)
+
+    def test_non_normal_flagged_normal_leaves_subgroup(self):
+        g = catalog("symmetric", 3)
+        with pytest.raises(ClosureViolation,
+                           match="^second coordinate 5 left the subgroup$"):
+            hopf_extension(g, Subgroup(g, (0, 1), True))
+
+    def test_closure_violation_matches_loop_oracle(self):
+        seen = 0
+        for g in census_catalog(8):
+            for s in subgroups(g):
+                if s.normal:
+                    continue
+                flagged = Subgroup(g, s.elements, True)
+                with pytest.raises(ClosureViolation) as want:
+                    _hopf_extension_loop(g, flagged)
+                with pytest.raises(ClosureViolation) as got:
+                    hopf_extension(g, flagged)
+                assert str(got.value) == str(want.value)
+                seen += 1
+        assert seen == 10
+
     def test_z2_z2_trivial(self):
         g = cyclic_group(2)
         full = next(s for s in normal_subgroups(g) if len(s.elements) == 2)
@@ -311,7 +382,6 @@ class TestHopfExtension:
 
     def test_not_normal(self):
         g = catalog("symmetric", 3)
-        from quandlekit.groups import subgroups
         bad = next(s for s in subgroups(g) if len(s.elements) == 2)
         with pytest.raises(NotNormal):
             hopf_extension(g, bad)
@@ -323,6 +393,11 @@ class TestSubquandleClosure:
 
     def test_r3_pair(self):
         assert subquandle_closure(dihedral_quandle(3), {0, 1}) == {0, 1, 2}
+
+    @pytest.mark.parametrize("seed", [{-1}, {4}, {0, 4}])
+    def test_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match="seed elements out of range"):
+            subquandle_closure(dihedral_quandle(4), seed)
 
     def test_closure_revalidates(self, catalog16):
         for g in catalog16:
