@@ -96,9 +96,10 @@ class Subgroup:
 
 
 def _square_table(table):
-    """The table as an int64 array, checked to be a nonempty square matrix
-    with entries in 0..n-1."""
-    t = np.asarray(table, dtype=np.int64)
+    """A fresh int64 copy of the table, checked to be a nonempty square
+    matrix with entries in 0..n-1.  The validators freeze what this
+    returns, so it never aliases the caller's array."""
+    t = np.array(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise FileFormatError("table must be a nonempty square matrix")
     n = t.shape[0]

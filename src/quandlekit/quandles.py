@@ -51,6 +51,7 @@ class FiniteQuandle:
 def validate_quandle(table, label=""):
     """Check the three quandle axioms and precompute the inverse operation.
 
+    Works on a copy, so the caller's array stays writable and unshared.
     Raises NotIdempotent / ColumnNotBijective / NotSelfDistributive with the
     first violating indices.
     """
@@ -69,7 +70,16 @@ def validate_quandle(table, label=""):
     x, y, z = _kernels.self_distrib_violation(t)
     if x != -1:
         raise NotSelfDistributive(x, y, z)
+    return _quandle(t, label)
 
+
+def _quandle(t, label):
+    """Wrap an int64 table that is a quandle by construction: build the
+    inverse table and freeze both.  No axiom is checked; the constructors
+    below call this only where their algebra proves the axioms, and `t`
+    must be a fresh array that nothing else holds."""
+    n = t.shape[0]
+    ar = np.arange(n)
     inv = np.empty((n, n), dtype=np.int64)
     inv[t, ar[None, :]] = ar[:, None]
     t.setflags(write=False)
@@ -79,13 +89,13 @@ def validate_quandle(table, label=""):
 
 def trivial_quandle(n):
     t = np.tile(np.arange(n)[:, None], (1, n))
-    return validate_quandle(t, label=f"trivial({n})")
+    return _quandle(_square_table(t), f"trivial({n})")   # rejects n < 1
 
 
 def dihedral_quandle(n):
     """x <| y = (2y - x) mod n."""
     t = (2 * np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return validate_quandle(t, label=f"R{n}")
+    return _quandle(_square_table(t), f"R{n}")           # rejects n < 1
 
 
 # -- constructions from groups ------------------------------------------------
@@ -95,18 +105,26 @@ def conj_quandle(g: FiniteGroup):
     m = g.table
     tmp = m[g.inverse].T                       # tmp[x, y] = inv(y) * x
     t = m[tmp, np.arange(g.order)[None, :]]    # (inv(y) * x) * y
-    return validate_quandle(t, label=f"Conj({g.name})")
+    return _quandle(t, f"Conj({g.name})")
 
 
 def galex(g: FiniteGroup, sigma: GroupAutomorphism):
-    """Generalized Alexander quandle: x <| y = sigma(x y^-1) y."""
+    """Generalized Alexander quandle: x <| y = sigma(x y^-1) y.
+
+    GroupAutomorphism checks only that sigma is a bijection.  When sigma is
+    also a homomorphism (an O(n^2) check) the table is a quandle; otherwise
+    it gets the full check, which some such tables pass.
+    """
     if sigma.group is not g and not sigma.group.same_table(g):
         raise AutomorphismMismatch("automorphism is not over the given group")
     m = g.table
     smap = np.asarray(sigma.map, dtype=np.int64)
     u = m[:, g.inverse]                        # u[x, y] = x * inv(y)
     t = m[smap[u], np.arange(g.order)[None, :]]
-    return validate_quandle(t, label=f"GAlex({g.name},{''.join(map(str, sigma.map))})")
+    label = f"GAlex({g.name},{''.join(map(str, sigma.map))})"
+    if np.array_equal(smap[m], m[smap[:, None], smap[None, :]]):
+        return _quandle(t, label)
+    return validate_quandle(t, label)
 
 
 def hopf_extension(g: FiniteGroup, n: Subgroup):
@@ -115,6 +133,17 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
     Index encoding: (g, n) -> g * |N| + rank of n in sorted N.  With
     a = g1 n1 and b = g2 n2, (g1, n1) <| (g2, n2) applies c |-> b^-1 a c a^-1 b
     to both coordinates.
+
+    Why the table is a quandle, so it is not re-checked: let phi(g, n) = g n
+    and h = phi(x)^-1 phi(y).  Then x <| y = x^h, conjugation of both
+    coordinates by h (`pre` c `post` = h^-1 c h).  Since
+    phi(x^h) = h^-1 phi(x) h, phi(x <| y) = phi(y)^-1 phi(x) phi(y).
+    Idempotency: h = e when x = y.  Self-distributivity: both
+    (x <| y) <| z and (x <| z) <| (y <| z) conjugate x by
+    phi(x)^-2 phi(y) phi(z).  S_y is injective: phi(x <| y) determines
+    phi(x), hence h, hence x = (x <| y)^(h^-1).  So the formula is a quandle
+    on G x G, and the ClosureViolation check proves G x N closed under <|,
+    which makes it a subquandle.
     """
     if n.group is not g and not n.group.same_table(g):
         raise NotNormal("subgroup is not over the given group")
@@ -141,7 +170,7 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
             raise ClosureViolation(
                 f"second coordinate {second.flat[np.argmax(bad)]} left the subgroup")
         table[g1 * nsize:(g1 + 1) * nsize] = first * nsize + rank[second]
-    return validate_quandle(table, label=f"HopfExt({g.name},N{nsize})")
+    return _quandle(table, f"HopfExt({g.name},N{nsize})")
 
 
 # -- subquandles, homomorphisms, isomorphisms --------------------------------
@@ -159,15 +188,17 @@ def subquandle_closure(q: FiniteQuandle, seed):
 
 def restrict(q: FiniteQuandle, elements, label=""):
     """Subquandle on an explicit closed element set, reindexed by sorted
-    position."""
+    position.  A closed subset of a finite quandle is a quandle."""
     elems = sorted(int(x) for x in set(elements))
+    if not elems or elems[0] < 0 or elems[-1] >= q.order:
+        raise ValueError("element set must be a nonempty subset of the elements")
     e = np.array(elems, dtype=np.int64)
     idx = np.full(q.order, -1, dtype=np.int64)
     idx[e] = np.arange(e.size)
     t = idx[q.table[np.ix_(e, e)]]
     if (t < 0).any():
         raise ValueError("element set is not closed under <|")
-    return validate_quandle(t, label=label or f"{q.label}|{elems}")
+    return _quandle(t, label or f"{q.label}|{elems}")
 
 
 def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
@@ -327,7 +358,7 @@ def relabel(q: FiniteQuandle, perm):
     inv = np.empty_like(p)
     inv[p] = np.arange(q.order)
     t = p[q.table[inv[:, None], inv[None, :]]]
-    return validate_quandle(t, label=f"{q.label}~relabel")
+    return _quandle(t, f"{q.label}~relabel")
 
 
 # -- file format --------------------------------------------------------------

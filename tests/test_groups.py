@@ -117,6 +117,13 @@ class TestValidateGroup:
             validate_group(LOOP5)
         assert exc.value.triple == (1, 1, 2)
 
+    def test_leaves_caller_array_alone(self):
+        b = np.array(z_table(3), dtype=np.int64)
+        g = validate_group(b)
+        b[0, 0] = 1                      # still writable
+        assert not np.shares_memory(g.table, b)
+        assert g.table[0, 0] == 0
+
     def test_s3_brute_force_associativity(self):
         g = catalog("symmetric", 3)
         assert g.order == 6

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit import _kernels
+from quandlekit import _kernels, quandles
+from quandlekit.criteria import census_galex
 from quandlekit.errors import (
     AutomorphismMismatch,
     ClosureViolation,
@@ -18,12 +19,14 @@ from quandlekit.errors import (
     SizeMismatch,
 )
 from quandlekit.groups import (
+    GroupAutomorphism,
     Subgroup,
     automorphisms,
     catalog,
     census_catalog,
     center,
     cyclic_group,
+    direct_product,
     identity_automorphism,
     normal_subgroups,
     subgroups,
@@ -86,6 +89,13 @@ class TestValidateQuandle:
         with pytest.raises(NotSelfDistributive) as exc:
             validate_quandle(t)
         assert exc.value.triple == (0, 1, 0)
+
+    def test_leaves_caller_array_alone(self):
+        b = (2 * np.arange(3)[None, :] - np.arange(3)[:, None]) % 3
+        q = validate_quandle(b)
+        b[0, 0] = 1                      # still writable
+        assert not np.shares_memory(q.table, b)
+        assert q.table[0, 0] == 0
 
     def test_inverse_table(self):
         q = dihedral_quandle(5)
@@ -296,6 +306,34 @@ class TestGalex:
         with pytest.raises(AutomorphismMismatch):
             galex(g, aut)
 
+    def test_non_automorphism_matches_validator(self):
+        """galex on a bijection that is not an automorphism does what
+        validate_quandle does on the same table: the same table back, or
+        the same error class with the same indices."""
+        def outcome(fn):
+            try:
+                return "ok", fn().table.tolist()
+            except QuandleValidationError as e:
+                return type(e).__name__, str(e)
+
+        groups = [catalog("symmetric", 3), cyclic_group(4), cyclic_group(5),
+                  direct_product(cyclic_group(2), cyclic_group(2))]
+        accepted = {}
+        for g in groups:
+            auts = {a.map for a in automorphisms(g)}
+            for perm in itertools.permutations(range(g.order)):
+                if perm in auts:
+                    continue
+                # x <| y = sigma(x y^-1) y, one product at a time
+                t = [[g.mul(perm[g.mul(x, g.inv(y))], y) for y in range(g.order)]
+                     for x in range(g.order)]
+                sigma = GroupAutomorphism(g, perm)
+                got = outcome(lambda: galex(g, sigma))
+                assert got == outcome(lambda: validate_quandle(t)), (g.name, perm)
+                if got[0] == "ok":
+                    accepted[g.name] = accepted.get(g.name, 0) + 1
+        assert accepted == {"symmetric(3)": 10}
+
 
 def _hopf_extension_loop(g, n):
     """Reference for hopf_extension's table: one group product at a time,
@@ -406,7 +444,12 @@ class TestSubquandleClosure:
             q = conj_quandle(g)
             for x in range(q.order):
                 sub = subquandle_closure(q, {x})
-                restrict(q, sub)   # raises if not a quandle
+                validate_quandle(np.array(restrict(q, sub).table))
+
+    @pytest.mark.parametrize("elements", [[], [-1, 2], [0, 3]])
+    def test_restrict_out_of_range(self, elements):
+        with pytest.raises(ValueError, match="nonempty subset of the elements"):
+            restrict(dihedral_quandle(3), elements)
 
 
 class TestHomomorphisms:
@@ -467,13 +510,59 @@ class TestIsomorphic:
 
 
 class TestConstructorsValidate:
+    """Independent oracle for the constructors that skip the axiom check:
+    the full validator, run on a fresh copy of each output, agrees."""
+
+    @staticmethod
+    def check(q):
+        v = validate_quandle(np.array(q.table))
+        assert np.array_equal(v.inv_table, q.inv_table), q.label
+
     def test_all_catalog_constructions_pass(self, catalog16):
+        hopf = 0
         for g in catalog16:
-            if g.order > 8:
-                continue
-            validate_quandle(np.array(conj_quandle(g).table))
+            self.check(conj_quandle(g))
             for aut in automorphisms(g):
-                validate_quandle(np.array(galex(g, aut).table))
+                self.check(galex(g, aut))
+            for n in normal_subgroups(g):
+                self.check(hopf_extension(g, n))
+                hopf += 1
+        assert hopf == 190
+
+    def test_families_and_subquandles_pass(self, catalog16):
+        rng = np.random.default_rng(20261018)
+        pool = [f(n) for n in range(1, 65)
+                for f in (trivial_quandle, dihedral_quandle)]
+        for g in catalog16:
+            q = conj_quandle(g)
+            pool += [restrict(q, subquandle_closure(q, {x}))
+                     for x in range(q.order)]
+        for q in pool:
+            self.check(q)
+            self.check(relabel(q, rng.permutation(q.order)))
+
+
+def test_fast_path_skips_self_distributivity_scan(monkeypatch):
+    """Constructors proven by algebra never reach the n^3 scan; file and
+    validator input still does."""
+    def boom(table):
+        raise AssertionError("self_distrib_violation called")
+
+    monkeypatch.setattr(quandles._kernels, "self_distrib_violation", boom)
+    for dedup in (False, True):
+        census_galex(24, dedup=dedup)
+    g = catalog("symmetric", 3)
+    q = conj_quandle(g)
+    for n in normal_subgroups(g):
+        hopf_extension(g, n)
+    trivial_quandle(5)
+    dihedral_quandle(6)
+    restrict(q, subquandle_closure(q, {3}))
+    relabel(q, list(reversed(range(q.order))))
+    with pytest.raises(AssertionError, match="self_distrib_violation"):
+        parse_quandle_file(format_quandle_file(q))
+    with pytest.raises(AssertionError, match="self_distrib_violation"):
+        validate_quandle(np.array(q.table))
 
 
 @settings(max_examples=30, deadline=None)
@@ -482,7 +571,8 @@ def test_relabel_preserves_validity(n, rnd):
     q = dihedral_quandle(n)
     p = list(range(n))
     rnd.shuffle(p)
-    q2 = relabel(q, p)   # would raise if invalid
+    q2 = relabel(q, p)
+    validate_quandle(np.array(q2.table))
     assert isomorphic(q, q2) is not None
 
 
