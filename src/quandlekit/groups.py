@@ -411,65 +411,80 @@ def subgroup_from_elements(g: FiniteGroup, elements):
 
 # -- automorphisms ------------------------------------------------------------
 
-def _generating_set(g: FiniteGroup):
-    """Greedy minimal-ish generating set: repeatedly add the element whose
-    inclusion enlarges the generated subgroup the most."""
-    n = g.order
-    gens = []
-    sub = frozenset({g.identity})
-    while len(sub) < n:
-        best_x, best_sub = None, None
-        for x in range(n):
-            if x in sub:
+MAX_AUTOMORPHISMS = 10**5
+
+
+def _isomorphisms(ta, tb, ca, cb, fixed=()):
+    """Every bijection f with f(x) = u for each (x, u) in fixed, colors
+    ca[x] == cb[f(x)], and f(s[x, y]) = t[f(x), f(y)] for each table pair
+    (s, t) of ta and tb, in lexicographic order of the map.
+
+    The search branches on the least unmapped x, images ascending, and x
+    joins the branch elements B.  Propagation maps s[y, b] to t[f(y), f(b)]
+    for every mapped y and b in B; a clash, a reused image or a color
+    mismatch prunes the node.  So a full map commutes with the right action
+    S_b of each b in B, and B generates the source from fixed: from e in a
+    group, and through the inverse tables in a quandle.  In a group with
+    f(e) = e this gives f(y b1 ... bk) = f(y) f(b1) ... f(bk).  In a
+    quandle every z is w(b) for a word w in the S_b and their inverses, so
+    S_z = w S_b w^-1 and f S_z = S_f(z) f.  Either way f is a homomorphism.
+    Positions below the branch point are fixed, so subtrees of ascending
+    images hold ascending maps.
+    """
+    n = len(ca)
+    ops = [(s.tolist(), t.tolist()) for s, t in zip(ta, tb)]
+
+    def extend(f, used, branch, queue):
+        while queue:
+            x, u = queue.pop()
+            if f[x] == u:
                 continue
-            cl = _closure((g.table,), sub | {x})
-            if best_sub is None or len(cl) > len(best_sub):
-                best_x, best_sub = x, cl
-        gens.append(best_x)
-        sub = best_sub
-    return gens
+            if f[x] != -1 or used[u] or ca[x] != cb[u]:
+                return False
+            f[x], used[u] = u, True
+            for b in branch:
+                for s, t in ops:
+                    y, v = s[x][b], t[u][f[b]]
+                    if f[y] == -1:
+                        queue.append((y, v))
+                    elif f[y] != v:
+                        return False
+        return True
 
+    def search(f, used, branch, x):
+        while x < n and f[x] != -1:
+            x += 1
+        if x == n:
+            yield f
+            return
+        # s[y][x] must map to t[f(y)][u]; the rows t[f(y)] do not depend on u
+        rows = [(s[y][x], t[f[y]]) for y in range(n) if f[y] != -1
+                for s, t in ops]
+        for u in range(n):
+            if not used[u] and cb[u] == ca[x]:
+                f2, used2, branch2 = f.copy(), used.copy(), branch + [x]
+                # (x, u) last, so it is popped and mapped first
+                queue = [(y, row[u]) for y, row in rows] + [(x, u)]
+                if extend(f2, used2, branch2, queue):
+                    yield from search(f2, used2, branch2, x + 1)
 
-def _extend_hom(g: FiniteGroup, gens, images):
-    """Extend gen -> image to a total map by closing under right
-    multiplication; None on inconsistency."""
-    n = g.order
-    t = g.table
-    mp = [-1] * n
-    mp[g.identity] = g.identity
-    queue = deque([g.identity])
-    while queue:
-        x = queue.popleft()
-        fx = mp[x]
-        for gi, hi in zip(gens, images):
-            y = int(t[x, gi])
-            fy = int(t[fx, hi])
-            if mp[y] == -1:
-                mp[y] = fy
-                queue.append(y)
-            elif mp[y] != fy:
-                return None
-    return mp
+    f, used = [-1] * n, [False] * n
+    if extend(f, used, [], list(fixed)):
+        yield from search(f, used, [], 0)
 
 
 def automorphisms(g: FiniteGroup):
     """The full automorphism group, sorted lexicographically by map.
-
-    Candidate generator images are restricted to elements of equal order;
-    each consistent extension is verified to be a bijection.
-    """
-    n = g.order
-    if n == 1:
-        return [GroupAutomorphism(g, (0,))]
+    Raises OrderTooLarge past MAX_AUTOMORPHISMS maps."""
     orders = g.element_orders()
-    gens = _generating_set(g)
-    cands = [[y for y in range(n) if orders[y] == orders[x]] for x in gens]
-    found = set()
-    for images in itertools.product(*cands):
-        mp = _extend_hom(g, gens, images)
-        if mp is not None and len(set(mp)) == n:
-            found.add(tuple(mp))
-    return [GroupAutomorphism(g, m) for m in sorted(found)]
+    out = []
+    for m in _isomorphisms((g.table,), (g.table,), orders, orders,
+                           [(g.identity, g.identity)]):
+        if len(out) == MAX_AUTOMORPHISMS:
+            raise OrderTooLarge(
+                f"{g.name} has more than {MAX_AUTOMORPHISMS} automorphisms")
+        out.append(GroupAutomorphism(g, tuple(m)))
+    return out
 
 
 def identity_automorphism(g: FiniteGroup):

@@ -26,6 +26,7 @@ from .groups import (
     _closure,
     _first_repeat,
     _format_table_file,
+    _isomorphisms,
     _parse_table_file,
     _square_table,
 )
@@ -239,115 +240,19 @@ def invariant_profile(q: FiniteQuandle):
     return prof
 
 
-def _refined_profiles(a: FiniteQuandle, b: FiniteQuandle):
-    """Jointly refine the per-element invariants of two quandles until the
-    color partition stabilizes.  Returns (colors_a, colors_b), or None if
-    the color multisets ever diverge (no isomorphism possible)."""
-    n = a.order
-    ta, tb = a.table, b.table
-
-    def rank(sig_a, sig_b):
-        uniq = {s: i for i, s in enumerate(sorted(set(sig_a) | set(sig_b)))}
-        return [uniq[s] for s in sig_a], [uniq[s] for s in sig_b]
-
-    ca, cb = rank(invariant_profile(a), invariant_profile(b))
-    if sorted(ca) != sorted(cb):
-        return None
-    while True:
-        sig_a = [(ca[x], tuple(sorted((ca[y], ca[ta[x, y]], ca[ta[y, x]])
-                                      for y in range(n))))
-                 for x in range(n)]
-        sig_b = [(cb[x], tuple(sorted((cb[y], cb[tb[x, y]], cb[tb[y, x]])
-                                      for y in range(n))))
-                 for x in range(n)]
-        na, nb = rank(sig_a, sig_b)
-        if sorted(na) != sorted(nb):
-            return None
-        if len(set(na)) == len(set(ca)):
-            return na, nb
-        ca, cb = na, nb
-
-
 def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
-    """A bijective homomorphism a -> b as a map list, or None.
-
-    Backtracking on element images in index order, pruned by matching
-    refined per-element invariant profiles; first map found in
-    lexicographic candidate order is returned.
-    """
+    """A bijective homomorphism a -> b as a map list, or None: the
+    lexicographically first, with images of equal invariant profile."""
     if a.order != b.order:
         return None
-    n = a.order
-    prof = _refined_profiles(a, b)
-    if prof is None:
+    pa, pb = invariant_profile(a), invariant_profile(b)
+    if sorted(pa) != sorted(pb):
         return None
-    pa, pb = prof
-    ta, tb = a.table, b.table
-    mapping = [-1] * n
-    used = [False] * n
-
-    def assign(x, u):
-        """Map x -> u and propagate images forced through the operation.
-        Returns the list of assignments made, or None on conflict (after
-        undoing them)."""
-        made = []
-        stack = [(x, u)]
-        while stack:
-            p, q_ = stack.pop()
-            if mapping[p] != -1:
-                if mapping[p] == q_:
-                    continue
-                break
-            if used[q_] or pb[q_] != pa[p]:
-                break
-            mapping[p] = q_
-            used[q_] = True
-            made.append((p, q_))
-            ok = True
-            for y in range(n):
-                v = mapping[y]
-                if v == -1:
-                    continue
-                for (w, fw) in ((int(ta[p, y]), int(tb[q_, v])),
-                                (int(ta[y, p]), int(tb[v, q_]))):
-                    if mapping[w] == -1:
-                        stack.append((w, fw))
-                    elif mapping[w] != fw:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        else:
-            return made
-        for p, q_ in made:
-            mapping[p] = -1
-            used[q_] = False
+    f = next(_isomorphisms((a.table, a.inv_table), (b.table, b.inv_table),
+                           pa, pb), None)
+    if f is None or not is_homomorphism(f, a, b):     # full recheck
         return None
-
-    def bt():
-        x = next((i for i in range(n) if mapping[i] == -1), None)
-        if x is None:
-            return True
-        for u in range(n):
-            if used[u] or pb[u] != pa[x]:
-                continue
-            made = assign(x, u)
-            if made is None:
-                continue
-            if bt():
-                return True
-            for p, q_ in made:
-                mapping[p] = -1
-                used[q_] = False
-        return False
-
-    if not bt():
-        return None
-    if not is_homomorphism(mapping, a, b):     # full recheck
-        return None
-    return mapping
+    return f
 
 
 def relabel(q: FiniteQuandle, perm):

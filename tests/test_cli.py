@@ -114,6 +114,13 @@ class TestConstruct:
         q = parse_quandle_file(out)
         assert q.same_table(galex(g, auts[idx]))
 
+    def test_galex_past_automorphism_cap_is_65(self, capsys, monkeypatch):
+        monkeypatch.setattr(quandlekit.groups, "MAX_AUTOMORPHISMS", 100)
+        code, out, err = run(capsys, "construct", "galex", "--group",
+                             "cyclic:2*cyclic:2*cyclic:2", "--aut", "0")
+        assert code == 65 and out == ""
+        assert "more than 100 automorphisms" in err
+
     def test_catalog_quandle(self, capsys):
         code, out, _ = run(capsys, "construct", "catalog-quandle",
                            "--name", "dihedral:3")

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from quandlekit import _kernels
+from quandlekit import _kernels, groups
 from quandlekit.errors import (
     GroupValidationError,
     NoIdentity,
@@ -14,11 +15,14 @@ from quandlekit.errors import (
     UnknownFamily,
 )
 from quandlekit.groups import (
+    GroupAutomorphism,
     Subgroup,
     automorphisms,
     catalog,
+    census_catalog,
     center,
     cyclic_group,
+    dihedral_group,
     direct_product,
     format_group_file,
     normal_subgroups,
@@ -231,19 +235,61 @@ class TestAutomorphisms:
         sigma = (0, 1, 4, 5, 6, 7, 2, 3)
         assert sigma in {a.map for a in auts}
 
-    @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3",
-                                      "cyclic:4", "cyclic:5", "cyclic:6",
-                                      "symmetric:3", "cyclic:2*cyclic:2"])
+    # exactly the groups of census_catalog(8)
+    CATALOG8 = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5",
+                "cyclic:6", "symmetric:3", "cyclic:2*cyclic:2", "cyclic:7",
+                "cyclic:8", "dihedral:3", "dihedral:4", "quaternion8",
+                "cyclic:2*cyclic:4", "cyclic:2*cyclic:2*cyclic:2"]
+
+    def test_specs_are_census_catalog8(self):
+        built = [parse_group_spec(spec) for spec in self.CATALOG8]
+        cat = census_catalog(8)
+        assert len(built) == len(cat)
+        assert all(any(b.same_table(g) for b in built) for g in cat)
+
+    @pytest.mark.parametrize("spec", CATALOG8)
     def test_matches_full_permutation_search(self, spec):
+        """Same list: itertools.permutations is in lexicographic order."""
         g = parse_group_spec(spec)
         n = g.order
         t = g.table
-        brute = set()
+        brute = []
         for p in itertools.permutations(range(n)):
             if all(p[t[i, j]] == t[p[i], p[j]]
                    for i in range(n) for j in range(n)):
-                brute.add(p)
-        assert {a.map for a in automorphisms(g)} == brute
+                brute.append(p)
+        assert [a.map for a in automorphisms(g)] == brute
+
+    def test_closed_form_counts(self):
+        def phi(n):
+            return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+        cases = [(cyclic_group(n), phi(n)) for n in range(1, 65)]
+        cases += [(dihedral_group(n), n * phi(n)) for n in range(3, 33)]
+        cases += [(parse_group_spec(spec), count) for spec, count in [
+            ("quaternion8", 24), ("symmetric:3", 6), ("symmetric:4", 24),
+            ("alternating:4", 24), ("generalized_quaternion16", 32),
+            ("cyclic:2*cyclic:2*cyclic:2", 168),
+            ("cyclic:2*cyclic:2*cyclic:4", 192), ("cyclic:4*cyclic:4", 96),
+            ("cyclic:2*cyclic:2*cyclic:2*cyclic:2", 20160)]]
+        for g, count in cases:
+            maps = [a.map for a in automorphisms(g)]
+            assert len(maps) == count, g.name
+            assert all(a < b for a, b in zip(maps, maps[1:])), g.name
+
+    def test_cap_raises(self, monkeypatch):
+        z2cubed = parse_group_spec("cyclic:2*cyclic:2*cyclic:2")   # 168 maps
+        monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 100)
+        with pytest.raises(OrderTooLarge, match="more than 100 automorphisms"):
+            automorphisms(z2cubed)
+        assert len(automorphisms(catalog("symmetric", 4))) == 24
+        monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 168)
+        assert len(automorphisms(z2cubed)) == 168
+
+    @pytest.mark.parametrize("m", [(0, 0, 0), (0, 1), (0, 1, 3)])
+    def test_map_must_be_a_permutation(self, m):
+        with pytest.raises(ValueError, match="not a permutation"):
+            GroupAutomorphism(cyclic_group(3), m)
 
     def test_pointwise_validity(self, catalog16):
         for g in catalog16:

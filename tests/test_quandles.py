@@ -306,6 +306,11 @@ class TestGalex:
         with pytest.raises(AutomorphismMismatch):
             galex(g, aut)
 
+    def test_map_not_a_permutation(self):
+        g = cyclic_group(3)
+        with pytest.raises(ValueError, match="not a permutation"):
+            galex(g, GroupAutomorphism(g, (0, 0, 0)))
+
     def test_non_automorphism_matches_validator(self):
         """galex on a bijection that is not an automorphism does what
         validate_quandle does on the same table: the same table back, or
@@ -424,6 +429,12 @@ class TestHopfExtension:
         with pytest.raises(NotNormal):
             hopf_extension(g, bad)
 
+    def test_subgroup_of_another_group(self):
+        # all of Z6, normal there; as an element set it is all of S3 too
+        full = normal_subgroups(cyclic_group(6))[-1]
+        with pytest.raises(NotNormal, match="not over the given group"):
+            hopf_extension(catalog("symmetric", 3), full)
+
 
 class TestSubquandleClosure:
     def test_trivial_singleton(self):
@@ -451,6 +462,10 @@ class TestSubquandleClosure:
         with pytest.raises(ValueError, match="nonempty subset of the elements"):
             restrict(dihedral_quandle(3), elements)
 
+    def test_restrict_not_closed(self):
+        with pytest.raises(ValueError, match=r"not closed under <\|"):
+            restrict(dihedral_quandle(3), [0, 1])
+
 
 class TestHomomorphisms:
     def test_identity(self):
@@ -469,6 +484,11 @@ class TestHomomorphisms:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             is_homomorphism([0, 1], dihedral_quandle(3), dihedral_quandle(3))
+
+    @pytest.mark.parametrize("f", [[0, 1, 3], [-1, 0, 1]])
+    def test_values_out_of_range(self, f):
+        with pytest.raises(SizeMismatch, match="out of range"):
+            is_homomorphism(f, dihedral_quandle(3), dihedral_quandle(3))
 
 
 class TestIsomorphic:
@@ -504,9 +524,11 @@ class TestIsomorphic:
         pool.append(trivial_quandle(n))
         pool.append(dihedral_quandle(n))
         for a, b in itertools.combinations_with_replacement(pool, 2):
-            brute = any(relabel(a, list(p)).same_table(b)
-                        for p in itertools.permutations(range(n)))
-            assert (isomorphic(a, b) is not None) == brute
+            # p is an isomorphism a -> relabel(a, p); the first in
+            # lexicographic order is the one isomorphic returns
+            first = next((list(p) for p in itertools.permutations(range(n))
+                          if relabel(a, list(p)).same_table(b)), None)
+            assert isomorphic(a, b) == first
 
 
 class TestConstructorsValidate:
@@ -563,6 +585,12 @@ def test_fast_path_skips_self_distributivity_scan(monkeypatch):
         parse_quandle_file(format_quandle_file(q))
     with pytest.raises(AssertionError, match="self_distrib_violation"):
         validate_quandle(np.array(q.table))
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3]])
+def test_relabel_rejects_non_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        relabel(dihedral_quandle(3), perm)
 
 
 @settings(max_examples=30, deadline=None)
