@@ -22,10 +22,10 @@ from .groups import automorphisms, census_catalog
 from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
+    _first_isomorphism,
     galex,
     invariant_profile,
     is_homomorphism,
-    isomorphic,
 )
 
 
@@ -170,17 +170,13 @@ def dedup_by_isomorphism(records, quandles):
     """Keep the first record of each quandle isomorphism class.  Quandles
     are bucketed by (order, invariant-profile multiset) before the full
     isomorphism search is attempted."""
-    buckets = defaultdict(list)   # key -> list of kept quandle indices
+    buckets = defaultdict(list)   # key -> [(kept quandle, its profile)]
     kept_r, kept_q = [], []
     for rec, q in zip(records, quandles):
-        key = (q.order, tuple(sorted(invariant_profile(q))))
-        new = True
-        for ki in buckets[key]:
-            if isomorphic(kept_q[ki], q) is not None:
-                new = False
-                break
-        if new:
-            buckets[key].append(len(kept_q))
+        prof = invariant_profile(q)
+        bucket = buckets[(q.order, tuple(sorted(prof)))]
+        if all(_first_isomorphism(k, q, pk, prof) is None for k, pk in bucket):
+            bucket.append((q, prof))
             kept_r.append(rec)
             kept_q.append(q)
     return kept_r, kept_q

@@ -124,7 +124,3 @@ class UnknownName(QuandleKitError):
 
 class OutputCapExceeded(QuandleKitError):
     pass
-
-
-class BadSetting(QuandleKitError):
-    """An environment variable holds a value the tool cannot use."""

@@ -248,6 +248,11 @@ def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     pa, pb = invariant_profile(a), invariant_profile(b)
     if sorted(pa) != sorted(pb):
         return None
+    return _first_isomorphism(a, b, pa, pb)
+
+
+def _first_isomorphism(a, b, pa, pb):
+    """isomorphic(a, b), given invariant profiles equal as multisets."""
     f = next(_isomorphisms((a.table, a.inv_table), (b.table, b.inv_table),
                            pa, pb), None)
     if f is None or not is_homomorphism(f, a, b):     # full recheck

@@ -13,11 +13,11 @@ constraint system in this shape is accepted.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
-    BadSetting,
     DanglingArc,
     DisconnectedStrand,
     DuplicateUnderOut,
@@ -122,52 +122,62 @@ def builtin_tangle(name):
 
 # -- solver -------------------------------------------------------------------
 
-def _propagate(d, q, assign):
-    """Run crossing constraints to a fixed point.  Returns False on
-    conflict.  Forced colors come from a colored (under_in, over) pair, or
-    backward from a colored (under_out, over) pair."""
-    changed = True
-    while changed:
-        changed = False
-        for c in d.crossings:
-            o = assign[c.over]
-            if o < 0:
-                continue
-            i = assign[c.under_in]
-            u = assign[c.under_out]
-            if i >= 0:
-                val = q.op(i, o) if c.sign > 0 else q.inv_op(i, o)
-                if u < 0:
-                    assign[c.under_out] = val
-                    changed = True
-                elif u != val:
-                    return False
-            elif u >= 0:
-                val = q.inv_op(u, o) if c.sign > 0 else q.op(u, o)
-                assign[c.under_in] = val
-                changed = True
-    return True
+MAX_CELLS = 2 ** 24     # int64 entries the solver may hold: 128 MiB
 
 
 def _colorings(d, q):
-    """Yield all colorings, deterministically: free arcs are branched in
-    increasing id order with values ascending, forced arcs propagated."""
-    n = d.arc_count
+    """Every coloring, as the columns of an (arc_count, colorings) int64
+    array sorted lexicographically.  All columns know the same arcs.  A
+    crossing with its over arc and one under arc known forces the other
+    (one gather); with all three known it drops the columns that break it.
+    A crossing is looked at again when one of its arcs becomes known.
+    When nothing is forced, each column is repeated once per color of the
+    lowest-id over arc of a crossing with a known under arc, which forces
+    at once, else of the lowest unknown arc; past MAX_CELLS entries that
+    raises OutputCapExceeded before allocating."""
+    n, k = d.arc_count, q.order
+    m = np.zeros((n, 1), dtype=np.int64)
+    known = [False] * n
+    touching = [[] for _ in range(n)]
+    for i, c in enumerate(d.crossings):
+        for a in {c.over, c.under_in, c.under_out}:
+            touching[a].append(i)
+    pending, work = set(range(len(d.crossings))), []
 
-    def rec(assign):
-        a = list(assign)
-        if not _propagate(d, q, a):
-            return
-        free = next((x for x in range(n) if a[x] < 0), None)
-        if free is None:
-            yield Coloring(tuple(a))
-            return
-        for v in range(q.order):
-            a[free] = v
-            yield from rec(a)
-        a[free] = -1
+    def learn(a):
+        known[a] = True
+        work.extend(touching[a])
 
-    yield from rec([-1] * n)
+    while True:
+        while work:
+            i = work.pop()
+            c = d.crossings[i]
+            if (i not in pending or not known[c.over]
+                    or not (known[c.under_in] or known[c.under_out])):
+                continue
+            fwd, back = (q.table, q.inv_table)[::c.sign]   # -1 swaps them
+            if known[c.under_in] and known[c.under_out]:
+                m = m[:, fwd[m[c.under_in], m[c.over]] == m[c.under_out]]
+            elif known[c.under_in]:
+                m[c.under_out] = fwd[m[c.under_in], m[c.over]]
+                learn(c.under_out)
+            else:
+                m[c.under_in] = back[m[c.under_out], m[c.over]]
+                learn(c.under_in)
+            pending.discard(i)
+        crossings = (d.crossings[i] for i in pending)
+        arc = min((c.over for c in crossings if not known[c.over]
+                   and (known[c.under_in] or known[c.under_out])),
+                  default=next((a for a in range(n) if not known[a]), None))
+        cols = m.shape[1]
+        if arc is None or cols == 0:
+            return m[:, np.lexsort(m[::-1])]
+        if n * cols * k > MAX_CELLS:
+            raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: "
+                                    f"{n} arcs x {cols * k} partial colorings")
+        m = np.repeat(m, k, axis=1)
+        m[arc] = np.tile(np.arange(k), cols)
+        learn(arc)
 
 
 def check_coloring(d, q, assignment):
@@ -180,46 +190,26 @@ def check_coloring(d, q, assignment):
     return True
 
 
-def _output_cap():
-    raw = os.environ.get("QUANDLE_OUTPUT_CAP")
-    if raw is None:
-        return DEFAULT_OUTPUT_CAP
-    try:
-        cap = int(raw)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise BadSetting(
-        f"QUANDLE_OUTPUT_CAP must be a non-negative integer, got {raw!r}")
-
-
-def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count", cap=None):
-    """Solve the coloring constraint system.
-
-    mode "count"        -> number of colorings
-    mode "list"         -> list of Coloring (capped; OutputCapExceeded beyond)
-    mode "admissibility"-> AdmissibilityVerdict; the witness, if any, is the
-                           first coloring with C(start) != C(end) in
-                           free-variable assignment order
-    """
+def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count",
+                        cap=DEFAULT_OUTPUT_CAP):
+    """Solve the coloring constraint system.  Mode "count" returns the
+    number of colorings, "list" the colorings in lexicographic order of the
+    assignment (OutputCapExceeded past cap), and "admissibility" an
+    AdmissibilityVerdict whose witness, if any, is the first of them with
+    C(start) != C(end)."""
+    if mode not in ("count", "list", "admissibility"):
+        raise ValueError(f"unknown mode {mode!r}")
+    m = _colorings(d, q)
     if mode == "count":
-        return sum(1 for _ in _colorings(d, q))
+        return m.shape[1]
     if mode == "list":
-        if cap is None:
-            cap = _output_cap()
-        out = []
-        for col in _colorings(d, q):
-            if len(out) >= cap:
-                raise OutputCapExceeded(f"more than {cap} colorings")
-            out.append(col)
-        return out
-    if mode == "admissibility":
-        for col in _colorings(d, q):
-            if col.assignment[d.start_arc] != col.assignment[d.end_arc]:
-                return AdmissibilityVerdict(False, col)
+        if m.shape[1] > cap:
+            raise OutputCapExceeded(f"more than {cap} colorings")
+        return [Coloring(tuple(col)) for col in m.T.tolist()]
+    bad = np.flatnonzero(m[d.start_arc] != m[d.end_arc])
+    if not bad.size:
         return AdmissibilityVerdict(True, None)
-    raise ValueError(f"unknown mode {mode!r}")
+    return AdmissibilityVerdict(False, Coloring(tuple(m[:, bad[0]].tolist())))
 
 
 def fundamental_quandle_presentation(d: TangleDiagram):

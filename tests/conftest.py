@@ -13,6 +13,7 @@ from quandlekit.quandles import (
     subquandle_closure,
     trivial_quandle,
 )
+from quandlekit.tangles import Crossing, make_diagram
 
 
 @pytest.fixture(scope="session")
@@ -86,3 +87,25 @@ def brute_force_colorings(d, q):
         if ok:
             out.append(assign)
     return out
+
+
+def random_diagram(rng, max_arcs):
+    """A seeded random constraint system of (1,1)-tangle shape: an
+    under-strand chain from start to end, under-strand loops (a loop of one
+    arc enters and leaves the same crossing), arcs in no crossing, over
+    arcs drawn from all arcs and both signs.  Arc ids are shuffled, so an
+    under-out arc often has a lower id than its under-in, and the crossings
+    are listed in shuffled order."""
+    n = rng.randint(2, max_arcs)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    chain = rng.randint(1, n - 1)
+    strands, rest = [ids[:chain + 1]], ids[chain + 1:]
+    while rest and rng.random() < 0.6:
+        size = rng.randint(1, len(rest))
+        strands.append(rest[:size] + [rest[0]])
+        rest = rest[size:]
+    crossings = [Crossing(rng.choice((1, -1)), rng.randrange(n), a, b)
+                 for s in strands for a, b in zip(s, s[1:])]
+    rng.shuffle(crossings)
+    return make_diagram(n, strands[0][0], strands[0][-1], crossings)

@@ -85,6 +85,13 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "group", str(p))
         assert code == 0
 
+    def test_malformed_table_is_65(self, capsys, tmp_path):
+        p = tmp_path / "bad.qdl"
+        p.write_text("quandle 2\n0 5\n1 1\n")
+        code, out, err = run(capsys, "validate", "quandle", str(p))
+        assert (code, out) == (65, "")
+        assert "entries must lie in 0..1" in err
+
     def test_missing_file_is_65(self, capsys):
         code, _, err = run(capsys, "validate", "quandle", "/nonexistent.qdl")
         assert code == 65
@@ -216,13 +223,13 @@ class TestColor:
         assert code == 0
         assert out.startswith("NON-ADMISSIBLE witness 0 2 ")
 
-    def test_bad_output_cap_is_65(self, capsys, monkeypatch, r3_file):
-        monkeypatch.setenv("QUANDLE_OUTPUT_CAP", "abc")
-        code, out, err = run(capsys, "color", "--tangle", "builtin:trefoil",
-                             "--quandle", r3_file, "--list")
-        assert code == 65
-        assert out == ""
-        assert "QUANDLE_OUTPUT_CAP" in err
+    def test_past_cell_bound_is_65(self, capsys, monkeypatch, r3_file):
+        # hopf over R3 needs 3 x 9 solver cells
+        monkeypatch.setattr(quandlekit.tangles, "MAX_CELLS", 26)
+        code, out, err = run(capsys, "color", "--tangle", "builtin:hopf",
+                             "--quandle", r3_file, "--count")
+        assert (code, out) == (65, "")
+        assert "solver cells" in err
 
     def test_tangle_from_file(self, capsys, tmp_path, r3_file):
         p = tmp_path / "hopf.tgl"

@@ -149,6 +149,21 @@ class TestCensus:
         assert again_r == records
         assert len(again_q) == len(quandles)
 
+    def test_dedup_computes_each_profile_once(self, monkeypatch):
+        from quandlekit import quandles
+        calls, profile = [], quandles.invariant_profile
+
+        def counted(q):
+            calls.append(q)
+            return profile(q)
+
+        monkeypatch.setattr(criteria, "invariant_profile", counted)
+        monkeypatch.setattr(quandles, "invariant_profile", counted)
+        records, qs = census_galex(8)
+        _, kept_q = dedup_by_isomorphism(records, qs)
+        assert len(calls) == len(qs)
+        assert len(kept_q) < len(qs)
+
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             census_galex(128)

@@ -6,6 +6,7 @@ import pytest
 
 from quandlekit import _kernels, groups
 from quandlekit.errors import (
+    FileFormatError,
     GroupValidationError,
     NoIdentity,
     NotASubgroup,
@@ -385,6 +386,17 @@ class TestGroupFiles:
     def test_comments_and_blank_lines(self):
         text = "# a cyclic group\ngroup 2\n\n0 1  # row 0\n1 0\n"
         assert parse_group_file(text).order == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("# nothing but a comment\n", "empty group file"),
+        ("group two\n0 1\n1 0\n", "first line must be 'group <n>'"),
+        ("group 2\n0 1\n", "expected 2 table rows, got 1"),
+        ("group 2\n0 1\n1 x\n", "non-integer entry in row: '1 x'"),
+        ("group 2\n0 1\n1\n", "row has 1 entries, expected 2"),
+    ])
+    def test_rejects_malformed_file(self, text, message):
+        with pytest.raises(FileFormatError, match=message):
+            parse_group_file(text)
 
     def test_catalog_groups_all_validate(self, catalog16):
         for g in catalog16:

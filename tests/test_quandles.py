@@ -618,3 +618,12 @@ class TestQuandleFiles:
         from quandlekit.errors import FileFormatError
         with pytest.raises(FileFormatError):
             parse_quandle_file("group 3\n0 0 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("quandle 0\n", "nonempty square matrix"),
+        ("quandle 2\n0 5\n1 1\n", "entries must lie in 0..1"),
+    ])
+    def test_rejects_bad_table(self, text, message):
+        from quandlekit.errors import FileFormatError
+        with pytest.raises(FileFormatError, match=message):
+            parse_quandle_file(text)

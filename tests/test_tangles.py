@@ -1,10 +1,16 @@
 import itertools
+import math
+import random
+import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_colorings
+from conftest import brute_force_colorings, random_diagram
+from quandlekit import tangles
 from quandlekit.errors import (
-    BadSetting,
     DanglingArc,
     DisconnectedStrand,
     DuplicateUnderOut,
@@ -13,7 +19,12 @@ from quandlekit.errors import (
     UnknownName,
 )
 from quandlekit.groups import automorphisms, catalog
-from quandlekit.quandles import dihedral_quandle, galex, trivial_quandle
+from quandlekit.quandles import (
+    conj_quandle,
+    dihedral_quandle,
+    galex,
+    trivial_quandle,
+)
 from quandlekit.tangles import (
     Crossing,
     builtin_tangle,
@@ -24,6 +35,36 @@ from quandlekit.tangles import (
     make_diagram,
     parse_tangle,
 )
+
+
+def torus_tangle(k):
+    """T(2, k) cut open on standard arc 0, the slow case of lowest-id
+    branching.  Crossing a has over arc a and takes arc a - 1 to a + 1.
+    Ids follow the under-strand from the start (the even arcs), then the
+    odd ones; the end piece of arc 0 gets id k."""
+    ids = {a: i for i, a in enumerate([*range(0, k, 2), *range(1, k, 2)])}
+    return make_diagram(k + 1, 0, k, [
+        Crossing(+1, ids[a], ids[(a - 1) % k], ids[(a + 1) % k] or k)
+        for a in range(k)])
+
+
+def chain_tangle(c, rng):
+    """Crossing j takes arc j to j + 1 under an arc <= j; shuffled.  By
+    idempotency every arc carries arc 0's color."""
+    crossings = [Crossing(rng.choice((1, -1)), rng.randrange(j + 1), j, j + 1)
+                 for j in range(c)]
+    rng.shuffle(crossings)
+    return make_diagram(c + 1, 0, c, crossings)
+
+
+def best_seconds(fn, repeat=3):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
 
 HOPF_TEXT = """\
 arcs 3
@@ -175,18 +216,92 @@ class TestSolver:
             a = c.assignment
             assert a[2] == q.inv_op(a[0], a[1])
 
-    def test_output_cap(self, monkeypatch):
-        monkeypatch.setenv("QUANDLE_OUTPUT_CAP", "3")
-        d = builtin_tangle("hopf")
-        with pytest.raises(OutputCapExceeded):
-            enumerate_colorings(d, trivial_quandle(3), "list")
+    def test_random_diagrams_in_brute_force_order(self, random_quandles):
+        # itertools.product makes the brute-force list lexicographic, so the
+        # solver's list, first witness and count must match it exactly.
+        # GAlex(Z5, x -> 2x) and (x -> 3x) are not involutory: their
+        # inverse tables differ from their tables.
+        z5 = catalog("cyclic", 5)
+        pool = random_quandles[:40] + [galex(z5, a) for a in automorphisms(z5)[1:3]]
+        rng = random.Random(20261018)
+        for _ in range(300):
+            d = random_diagram(rng, 5)
+            q = pool[rng.randrange(len(pool))]
+            want = brute_force_colorings(d, q)
+            got = [c.assignment for c in enumerate_colorings(d, q, "list")]
+            assert got == want, (d, q.label)
+            assert enumerate_colorings(d, q, "count") == len(want)
+            witness = next((a for a in want if a[d.start_arc] != a[d.end_arc]),
+                           None)
+            v = enumerate_colorings(d, q, "admissibility")
+            assert v.admissible == (witness is None)
+            assert (v.witness and v.witness.assignment) == witness
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "2.5", ""])
-    def test_bad_output_cap(self, monkeypatch, value):
-        monkeypatch.setenv("QUANDLE_OUTPUT_CAP", value)
-        d = builtin_tangle("hopf")
-        with pytest.raises(BadSetting, match="QUANDLE_OUTPUT_CAP"):
-            enumerate_colorings(d, trivial_quandle(3), "list")
+    def test_check_coloring_rejects_every_single_arc_change(self):
+        r5 = dihedral_quandle(5)
+        z5 = catalog("cyclic", 5)
+        alex = galex(z5, automorphisms(z5)[1])          # x <| y = 2x - y
+        cases = [(builtin_tangle("hopf"), r5), (builtin_tangle("trefoil"), r5),
+                 (make_diagram(3, 0, 2, [Crossing(-1, 1, 0, 2)]), alex)]
+        for d, q in cases:
+            cols = enumerate_colorings(d, q, "list")
+            assert cols
+            for c in cols:
+                a = c.assignment
+                assert check_coloring(d, q, a)
+                for arc, v in itertools.product(range(d.arc_count), range(q.order)):
+                    if v != a[arc]:
+                        b = a[:arc] + (v,) + a[arc + 1:]
+                        assert not check_coloring(d, q, b), (d, a, b)
+
+    def test_torus_2_13_over_r9_under_a_tenth_of_a_second(self):
+        d, q = torus_tangle(13), dihedral_quandle(9)
+        assert enumerate_colorings(d, q, "count") == 9     # n gcd(n, k)
+        assert best_seconds(lambda: enumerate_colorings(d, q, "count")) < 0.1
+
+    def test_chain_of_1500_over_conj_s4_under_half_a_second(self):
+        d = chain_tangle(1500, random.Random(7))
+        q = conj_quandle(catalog("symmetric", 4))
+        assert enumerate_colorings(d, q, "count") == 24
+        assert best_seconds(lambda: enumerate_colorings(d, q, "count")) < 0.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(2, 21), n=st.integers(1, 9), c=st.integers(1, 600),
+           seed=st.integers(0, 2 ** 32))
+    def test_long_chains_and_torus_tangles(self, k, n, c, seed):
+        q = dihedral_quandle(n)
+        assert (enumerate_colorings(torus_tangle(k), q, "count")
+                == n * math.gcd(n, k))              # Fox colorings of T(2, k)
+        d = chain_tangle(c, random.Random(seed))
+        assert ([col.assignment for col in enumerate_colorings(d, q, "list")]
+                == [(v,) * (c + 1) for v in range(n)])
+
+    def test_cell_bound_raises_before_allocating(self, monkeypatch):
+        # hopf over R5 branches twice: to 3 x 5 cells, then to 3 x 25
+        sizes, repeat = [], np.repeat
+
+        def spy(a, k, axis):
+            out = repeat(a, k, axis=axis)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "repeat", spy)
+        d, q = builtin_tangle("hopf"), dihedral_quandle(5)
+        monkeypatch.setattr(tangles, "MAX_CELLS", 75)
+        assert enumerate_colorings(d, q, "count") == 5
+        assert sizes == [15, 75]
+        sizes.clear()
+        monkeypatch.setattr(tangles, "MAX_CELLS", 74)
+        for mode in ("count", "list", "admissibility"):
+            with pytest.raises(OutputCapExceeded, match="74 solver cells"):
+                enumerate_colorings(d, q, mode)
+        assert sizes == [15, 15, 15]
+
+    def test_output_cap(self):
+        d = builtin_tangle("hopf")                     # 9 colorings
+        with pytest.raises(OutputCapExceeded, match="more than 8 colorings"):
+            enumerate_colorings(d, trivial_quandle(3), "list", cap=8)
+        assert len(enumerate_colorings(d, trivial_quandle(3), "list", cap=9)) == 9
 
     def test_unknot_admissible(self):
         d = builtin_tangle("unknot")
