@@ -1,14 +1,24 @@
 """Hot inner-loop scans over operation tables, vectorized with numpy.
 
-Every kernel returns the indices of the *first* violation/witness in
-row-major scan order (the order of nested loops over the index tuple,
-last index fastest), or all -1 if none exists.  numpy's argwhere lists
-hits in that order, so the first row of its result is the first hit.
+Every position the package reports (a violation, a witness, a repeat) is
+the *first* one in row-major scan order: the order of nested loops over
+the index tuple, last index fastest.  `first_hit` is the one place that
+picks it.  The kernels return all -1 when there is no hit.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
+
+
+def first_hit(mask):
+    """Index tuple of the first True of a nonempty boolean array in
+    row-major order, or None.  argmax stops at the first True, so only a
+    mask with no True is scanned to the end."""
+    i = int(mask.argmax())
+    if not mask.flat[i]:
+        return None
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
 
 
 # Cube entries per x-slab of the n^3 scans (about 0.5 MB per int64 array).
@@ -31,10 +41,10 @@ def _first_cube_mismatch(table, offsets):
         xs = slice(x0, x0 + step)
         lhs = np.take(table, table[xs], axis=0)          # t[t[x,y], z]
         rhs = np.take(flat, offsets[xs] + table[None])
-        bad = lhs != rhs
-        if bad.any():      # argwhere on a clean slab costs ~10x more
-            x, y, z = np.argwhere(bad)[0]
-            return (x0 + int(x), int(y), int(z))
+        hit = first_hit(lhs != rhs)
+        if hit:
+            x, y, z = hit
+            return (x0 + x, y, z)
     return (-1, -1, -1)
 
 
@@ -52,22 +62,12 @@ def self_distrib_violation(table):
 
 def hopf_witness_scan(table):
     """First (x, y) with x<|y == x and y<|x != y, else (-1, -1)."""
-    n = table.shape[0]
-    ar = np.arange(n)
-    fixed = table == ar[:, None]                        # x<|y == x
-    bad = np.argwhere(fixed & ~fixed.T)
-    if bad.size == 0:
-        return (-1, -1)
-    return tuple(int(v) for v in bad[0])
+    fixed = table == np.arange(table.shape[0])[:, None]     # x<|y == x
+    return first_hit(fixed & ~fixed.T) or (-1, -1)
 
 
 def trefoil_witness_scan(table):
     """First (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else (-1, -1)."""
-    n = table.shape[0]
-    ar = np.arange(n)
-    twist = table[table, ar[:, None]]                   # [x,y] = (x<|y)<|x
-    cond = twist == ar[None, :]
-    bad = np.argwhere(cond & ~cond.T)
-    if bad.size == 0:
-        return (-1, -1)
-    return tuple(int(v) for v in bad[0])
+    ar = np.arange(table.shape[0])
+    cond = table[table, ar[:, None]] == ar[None, :]      # (x<|y)<|x == y
+    return first_hit(cond & ~cond.T) or (-1, -1)

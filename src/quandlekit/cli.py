@@ -8,6 +8,7 @@ Data output goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import criteria, groups, quandles, tangles
@@ -71,6 +72,7 @@ def _parse_normal_spec(g, spec):
     return groups.subgroup_from_elements(g, elems)
 
 
+@functools.cache
 def _build_parser():
     p = argparse.ArgumentParser(prog="quandlekit", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import OrderTooLarge
-from .groups import automorphisms, census_catalog
+from .groups import DEFAULT_MAX_ORDER, automorphisms, census_catalog
 from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
@@ -89,9 +89,6 @@ def associated_group_presentation(q: FiniteQuandle):
 
 # -- census over generalized Alexander quandles ------------------------------
 
-CENSUS_MAX_ORDER = 64
-
-
 def census_galex(max_group_order, dedup=False):
     """One record per (catalog group, automorphism) pair with group order
     <= max_group_order, in (group order, group name, automorphism index)
@@ -102,9 +99,9 @@ def census_galex(max_group_order, dedup=False):
 
     Returns (records, quandles) aligned lists.
     """
-    if max_group_order > CENSUS_MAX_ORDER:
+    if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(
-            f"census limited to group order {CENSUS_MAX_ORDER}")
+            f"census limited to group order {DEFAULT_MAX_ORDER}")
     records, quandles = [], []
     leaders = []    # census indices of Aut(G)-conjugacy class leaders
     for grp in census_catalog(max_group_order):

@@ -87,9 +87,6 @@ class Subgroup:
     elements: tuple
     normal: bool
 
-    def __contains__(self, x):
-        return x in self.elements
-
     @property
     def order(self):
         return len(self.elements)
@@ -112,11 +109,11 @@ def _first_repeat(lines):
     """The first row of a table from `_square_table` (pass its transpose
     for columns) that is not a permutation, as (index, first entry
     repeated in scan order); None if every row is a permutation."""
-    bad = np.flatnonzero(
+    hit = _kernels.first_hit(
         (np.sort(lines, axis=1) != np.arange(lines.shape[0])).any(axis=1))
-    if not bad.size:
+    if hit is None:
         return None
-    i = int(bad[0])
+    i, = hit
     seen = set()
     for v in lines[i].tolist():
         if v in seen:
@@ -132,6 +129,7 @@ def validate_group(table, name="group", labels=()):
     for i = 0, 1, ...
     """
     t = _square_table(table)
+    del table         # a parsed file's array is freed before the n^3 scan
     n = t.shape[0]
 
     row, col = _first_repeat(t), _first_repeat(t.T)
@@ -141,10 +139,10 @@ def validate_group(table, name="group", labels=()):
         raise NotLatinSquare("column", *col)
 
     ar = np.arange(n)
-    ids = np.flatnonzero((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
-    if not ids.size:
+    hit = _kernels.first_hit((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
+    if hit is None:
         raise NoIdentity()
-    identity = int(ids[0])
+    identity, = hit
 
     i, j, k = _kernels.assoc_violation(t)
     if i != -1:
@@ -161,12 +159,22 @@ def validate_group(table, name="group", labels=()):
 
 # -- catalog families ---------------------------------------------------------
 
-def _from_elements(elements, mult, name, labels=None):
-    idx = {e: i for i, e in enumerate(elements)}
-    t = [[idx[mult(a, b)] for b in elements] for a in elements]
-    if labels is None:
-        labels = tuple(str(e) for e in elements)
-    return validate_group(t, name=name, labels=labels)
+def _metacyclic(m, c):
+    """Table of <a, b | a^m, b^2 = a^c, b^-1 a b = a^-1>.  Index i + m*j
+    is a^i b^j, and a^i b^j * a^k b^l = a^(i + (-1)^j k + c j l) b^(j+l)."""
+    k, l = np.arange(2 * m) % m, np.arange(2 * m) // m     # the right factor
+    i, j = k[:, None], l[:, None]                           # the left factor
+    return (i + (1 - 2 * j) * k + c * j * l) % m + m * ((j + l) % 2)
+
+
+def _permutation_group(perms, name):
+    """The group of the lexicographically sorted permutation tuples perms
+    under (p*q)(t) = p[q[t]].  Sorted permutations have increasing base-n
+    codes, so a search of the codes indexes each product."""
+    p = np.array(perms, dtype=np.int64)
+    place = p.shape[1] ** np.arange(p.shape[1] - 1, -1, -1)
+    t = np.searchsorted(p @ place, p[:, p] @ place)      # p[:, p][a, b] = a*b
+    return validate_group(t, name=name, labels=tuple(map(str, perms)))
 
 
 def cyclic_group(n):
@@ -176,64 +184,28 @@ def cyclic_group(n):
 
 
 def dihedral_group(n):
-    elements = [(i, b) for b in (0, 1) for i in range(n)]
-
-    def mult(a, b):
-        (i, s), (k, l) = a, b
-        if s == 0:
-            return ((i + k) % n, l)
-        return ((i - k) % n, (1 + l) % 2)
-
     labels = tuple(f"r{i}" if b == 0 else f"r{i}s" for b in (0, 1) for i in range(n))
-    return _from_elements(elements, mult, f"dihedral({n})", labels)
-
-
-def _quat_mult(a, b):
-    # units as (sign, axis), axis 0 = 1, 1 = i, 2 = j, 3 = k
-    (sa, xa), (sb, xb) = a, b
-    s = sa * sb
-    if xa == 0:
-        return (s, xb)
-    if xb == 0:
-        return (s, xa)
-    if xa == xb:
-        return (-s, 0)
-    # i*j=k, j*k=i, k*i=j; reversed order flips the sign
-    cyc = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
-           (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2)}
-    sgn, ax = cyc[(xa, xb)]
-    return (s * sgn, ax)
+    return validate_group(_metacyclic(n, 0), name=f"dihedral({n})", labels=labels)
 
 
 def quaternion_group():
-    elements = [(1, 0), (-1, 0), (1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3), (-1, 3)]
-    return _from_elements(elements, _quat_mult, "quaternion8",
-                          ("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
+    # a = i, b = j: the frozen order is a^0, a^2, a, a^3, b, a^2 b, ab, a^3 b
+    p = np.array([0, 2, 1, 3, 4, 6, 5, 7])        # an involution
+    return validate_group(p[_metacyclic(4, 2)[np.ix_(p, p)]], name="quaternion8",
+                          labels=("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
 
 
 def generalized_quaternion16():
-    # <a, b | a^8 = 1, b^2 = a^4, b^-1 a b = a^-1>, elements a^i b^j
-    elements = [(i, j) for j in (0, 1) for i in range(8)]
-
-    def mult(x, y):
-        (i1, j1), (i2, j2) = x, y
-        i = (i1 + (i2 if j1 == 0 else -i2) + (4 if j1 == 1 and j2 == 1 else 0)) % 8
-        return (i, (j1 + j2) % 2)
-
     labels = tuple(f"a{i}" if j == 0 else f"a{i}b" for j in (0, 1) for i in range(8))
-    return _from_elements(elements, mult, "generalized_quaternion16", labels)
-
-
-def _perm_mult(p, q):
-    # apply q first, then p
-    return tuple(p[q[t]] for t in range(len(p)))
+    return validate_group(_metacyclic(8, 4), name="generalized_quaternion16",
+                          labels=labels)
 
 
 def symmetric_group(n):
     if n > 4:
         raise UnknownFamily(f"symmetric({n}) not in catalog (n <= 4)")
-    elements = sorted(itertools.permutations(range(n)))
-    return _from_elements(elements, _perm_mult, f"symmetric({n})")
+    return _permutation_group(sorted(itertools.permutations(range(n))),
+                              f"symmetric({n})")
 
 
 def alternating_group(n):
@@ -245,13 +217,13 @@ def alternating_group(n):
         return inv % 2
 
     elements = sorted(p for p in itertools.permutations(range(4)) if parity(p) == 0)
-    return _from_elements(elements, _perm_mult, "alternating(4)")
+    return _permutation_group(elements, "alternating(4)")
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup, max_order=DEFAULT_MAX_ORDER):
+def direct_product(a: FiniteGroup, b: FiniteGroup):
     n = a.order * b.order
-    if n > max_order:
-        raise OrderTooLarge(f"product order {n} exceeds bound {max_order}")
+    if n > DEFAULT_MAX_ORDER:
+        raise OrderTooLarge(f"product order {n} exceeds bound {DEFAULT_MAX_ORDER}")
     # t[(xa, xb), (ya, yb)] = a[xa, ya] * |B| + b[xb, yb]
     t = (a.table[:, None, :, None] * b.order
          + b.table[None, :, None, :]).reshape(n, n)
@@ -271,7 +243,7 @@ FAMILIES = {
 }
 
 
-def catalog(name, *params, max_order=DEFAULT_MAX_ORDER):
+def catalog(name, *params):
     """Build a named group from the built-in catalog."""
     if name not in FAMILIES:
         raise UnknownFamily(f"unknown group family {name!r}")
@@ -281,12 +253,12 @@ def catalog(name, *params, max_order=DEFAULT_MAX_ORDER):
     if params and (params[0] < 1):
         raise UnknownFamily(f"{name} parameter must be positive")
     est = order(*params)
-    if est > max_order:
-        raise OrderTooLarge(f"order {est} exceeds bound {max_order}")
+    if est > DEFAULT_MAX_ORDER:
+        raise OrderTooLarge(f"order {est} exceeds bound {DEFAULT_MAX_ORDER}")
     return builder(*params)
 
 
-def parse_group_spec(spec, max_order=DEFAULT_MAX_ORDER):
+def parse_group_spec(spec):
     """Parse a textual group spec like 'cyclic:3', 'quaternion8',
     or a product 'cyclic:2*cyclic:4' (left-associated)."""
     parts = [p.strip() for p in spec.split("*")]
@@ -300,10 +272,10 @@ def parse_group_spec(spec, max_order=DEFAULT_MAX_ORDER):
                 raise UnknownFamily(f"bad parameters in {part!r}")
         else:
             fam, params = part, ()
-        groups.append(catalog(fam, *params, max_order=max_order))
+        groups.append(catalog(fam, *params))
     g = groups[0]
     for h in groups[1:]:
-        g = direct_product(g, h, max_order=max_order)
+        g = direct_product(g, h)
     return g
 
 

@@ -57,12 +57,11 @@ def validate_quandle(table, label=""):
     first violating indices.
     """
     t = _square_table(table)
-    n = t.shape[0]
-    ar = np.arange(n)
+    del table         # a parsed file's array is freed before the n^3 scan
 
-    bad = np.flatnonzero(np.diagonal(t) != ar)
-    if bad.size:
-        raise NotIdempotent(int(bad[0]))
+    hit = _kernels.first_hit(np.diagonal(t) != np.arange(t.shape[0]))
+    if hit:
+        raise NotIdempotent(*hit)
 
     col = _first_repeat(t.T)
     if col is not None:
@@ -166,10 +165,9 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
         post = m[inv[a], b[None, :]]           # a^-1 b
         first = m[m[pre, g1], post]
         second = m[m[pre, nelems[:, None]], post]
-        bad = rank[second] < 0
-        if bad.any():
-            raise ClosureViolation(
-                f"second coordinate {second.flat[np.argmax(bad)]} left the subgroup")
+        hit = _kernels.first_hit(rank[second] < 0)
+        if hit:
+            raise ClosureViolation(f"second coordinate {second[hit]} left the subgroup")
         table[g1 * nsize:(g1 + 1) * nsize] = first * nsize + rank[second]
     return _quandle(table, f"HopfExt({g.name},N{nsize})")
 

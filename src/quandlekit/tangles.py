@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import first_hit
 from .errors import (
     DanglingArc,
     DisconnectedStrand,
@@ -88,12 +89,12 @@ def make_diagram(arc_count, start_arc, end_arc, crossings):
         raise DisconnectedStrand("end arc enters a crossing")
     if crossings and start_arc == end_arc:
         raise DisconnectedStrand("start and end coincide on a crossed diagram")
-    # the under-strand relation must chain start to end
-    cur, visited = start_arc, set()
+    # The under-strand relation must chain start to end.  The chain cannot
+    # repeat an arc: each arc on it after the start is the under_out of one
+    # crossing (under_outs are unique), hence has one predecessor, and the
+    # start arc exits no crossing.
+    cur = start_arc
     while cur != end_arc:
-        if cur in visited:
-            raise DisconnectedStrand("under-strand chain loops before the end arc")
-        visited.add(cur)
         c = under_in_of.get(cur)
         if c is None:
             raise DisconnectedStrand(f"under-strand chain dead-ends at arc {cur}")
@@ -206,10 +207,10 @@ def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count",
         if m.shape[1] > cap:
             raise OutputCapExceeded(f"more than {cap} colorings")
         return [Coloring(tuple(col)) for col in m.T.tolist()]
-    bad = np.flatnonzero(m[d.start_arc] != m[d.end_arc])
-    if not bad.size:
+    hit = first_hit(m[d.start_arc] != m[d.end_arc])   # nonempty: constant colorings
+    if hit is None:
         return AdmissibilityVerdict(True, None)
-    return AdmissibilityVerdict(False, Coloring(tuple(m[:, bad[0]].tolist())))
+    return AdmissibilityVerdict(False, Coloring(tuple(m[:, hit[0]].tolist())))
 
 
 def fundamental_quandle_presentation(d: TangleDiagram):

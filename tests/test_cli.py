@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import resource
@@ -194,6 +195,45 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "catalog-quandle", "--name", name)
         assert code == 65
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["construct", "hopf-ext", "--group", "cyclic:4", "--normal", "a"], 65,
+     "error: bad subgroup spec 'a'"),
+    (["construct", "catalog-quandle"], 64,
+     "usage error: catalog-quandle requires --name"),
+    (["construct", "catalog-quandle", "--name", "cyclic:3"], 65,
+     "error: unknown quandle family 'cyclic'"),
+    (["construct", "conj"], 64, "usage error: conj requires --group"),
+    (["construct", "galex", "--group", "cyclic:3"], 64,
+     "usage error: galex requires --aut <index>"),
+    (["construct", "galex", "--group", "cyclic:3", "--aut", "2"], 65,
+     "error: --aut 2 out of range (group has 2)"),
+    (["construct", "hopf-ext", "--group", "cyclic:3"], 64,
+     "usage error: hopf-ext requires --normal"),
+    (["present", "as"], 64, "usage error: present as requires --quandle"),
+    (["present", "fundamental"], 64,
+     "usage error: present fundamental requires --tangle"),
+])
+def test_usage_and_range_errors(capsys, argv, code, err):
+    assert run(capsys, *argv) == (code, "", err + "\n")
+
+
+def test_internal_error_is_70(capsys, monkeypatch, r3_file):
+    def broken(q):
+        raise RuntimeError("broken invariant")
+    monkeypatch.setattr(quandlekit.criteria, "hopf_witness", broken)
+    assert run(capsys, "check", "hopf", "--quandle", r3_file) == (
+        70, "", "internal error: broken invariant\n")
+
+
+def test_parser_is_built_once(capsys, monkeypatch, r3_file):
+    assert run(capsys, "check", "hopf", "--quandle", r3_file)[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ArgumentParser constructed again")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(capsys, "check", "hopf", "--quandle", r3_file) == (0, "ADMISSIBLE\n", "")
 
 
 class TestColor:

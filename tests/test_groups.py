@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,25 @@ class TestValidateGroup:
             outcomes.add(want[0] if isinstance(want[0], str) else "ok")
         assert outcomes == {"ok", "NotLatinSquare", "NoIdentity", "NotAssociative"}
 
+    def test_file_validation_holds_one_table(self, monkeypatch):
+        n = 512
+        ar = np.arange(n)
+        text = f"group {n}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in ((ar[:, None] + ar) % n).tolist())
+        held = []
+
+        def record(t):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return (-1, -1, -1)
+
+        monkeypatch.setattr(_kernels, "assoc_violation", record)
+        tracemalloc.start()
+        try:
+            parse_group_file(text)
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 1.5 * n * n * 8          # one int64 table, not two
+
     def test_identity_detected_not_assumed(self):
         # relabel Z3 so the identity is element 2
         p = [2, 0, 1]
@@ -213,11 +233,79 @@ class TestCatalog:
         for i in range(4, 8):
             assert g.mul(i, i) == g.identity
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: groups.symmetric_group(5), r"symmetric\(5\) not in catalog \(n <= 4\)"),
+        (lambda: parse_group_spec("cyclic:a"), "bad parameters in 'cyclic:a'"),
+    ])
+    def test_rejections(self, build, message):
+        with pytest.raises(UnknownFamily, match=f"^{message}$"):
+            build()
+
     def test_parse_group_spec(self):
         assert parse_group_spec("cyclic:6").order == 6
         assert parse_group_spec("cyclic:2*cyclic:4").order == 8
         with pytest.raises(UnknownFamily):
             parse_group_spec("nope:3")
+
+
+def _table_of(elements, mul, key=tuple):
+    """Cayley table of explicit elements in a fixed order; key(x) is a
+    hashable form of x."""
+    index = {key(x): k for k, x in enumerate(elements)}
+    return [[index[key(mul(x, y))] for y in elements] for x in elements]
+
+
+def _matrix_key(m):
+    return tuple(np.round(m, 6).ravel().tolist())
+
+
+def _compose(p, q):                      # apply q first
+    return tuple(p[t] for t in q)
+
+
+class TestFamiliesMatchExplicitElements:
+    """Each catalog family against its table built from explicit elements
+    in the frozen order of the groups module docstring."""
+
+    def test_quaternion8(self):
+        i, j = np.diag([1j, -1j]), np.array([[0, 1], [-1, 0]])
+        units = [np.eye(2), i, j, i @ j]                  # 1, i, j, k
+        elements = [s * u for u in units for s in (1, -1)]
+        g = catalog("quaternion8")
+        assert g.table.tolist() == _table_of(elements, np.matmul, _matrix_key)
+        assert g.labels == ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+
+    def test_generalized_quaternion16(self):
+        w = np.exp(2j * np.pi / 8)
+        a, b = np.diag([w, 1 / w]), np.array([[0, 1], [-1, 0]])   # a^8, b^2 = a^4
+        elements = [np.linalg.matrix_power(a, i) @ np.linalg.matrix_power(b, j)
+                    for j in (0, 1) for i in range(8)]
+        g = catalog("generalized_quaternion16")
+        assert g.table.tolist() == _table_of(elements, np.matmul, _matrix_key)
+        assert g.labels == tuple(f"a{i}" + "b" * j for j in (0, 1) for i in range(8))
+
+    def test_dihedral(self):
+        for n in range(1, 33):
+            # r^i s^j acts on Z_2n as t -> (-1)^j t - j + 2i, faithful for all n
+            elements = [tuple((t * (1 - 2 * j) - j + 2 * i) % (2 * n)
+                              for t in range(2 * n)) for j in (0, 1) for i in range(n)]
+            g = catalog("dihedral", n)
+            assert g.table.tolist() == _table_of(elements, _compose), n
+            assert g.labels == tuple(f"r{i}" + "s" * j
+                                     for j in (0, 1) for i in range(n))
+
+    @pytest.mark.parametrize("family, n", [("symmetric", 1), ("symmetric", 2),
+                                           ("symmetric", 3), ("symmetric", 4),
+                                           ("alternating", 4)])
+    def test_permutations(self, family, n):
+        def even(p):
+            return sum(p[x] > p[y] for x, y in itertools.combinations(range(n), 2)) % 2 == 0
+
+        elements = [p for p in itertools.permutations(range(n))
+                    if family == "symmetric" or even(p)]
+        g = catalog(family, n)
+        assert g.table.tolist() == _table_of(elements, _compose)
+        assert g.labels == tuple(map(str, elements))
 
 
 class TestAutomorphisms:

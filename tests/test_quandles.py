@@ -97,6 +97,23 @@ class TestValidateQuandle:
         assert not np.shares_memory(q.table, b)
         assert q.table[0, 0] == 0
 
+    def test_file_validation_holds_one_table(self, monkeypatch):
+        n = 512
+        text = format_quandle_file(dihedral_quandle(n))
+        held = []
+
+        def record(t):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return (-1, -1, -1)
+
+        monkeypatch.setattr(_kernels, "self_distrib_violation", record)
+        tracemalloc.start()
+        try:
+            parse_quandle_file(text)
+        finally:
+            tracemalloc.stop()
+        assert held[0] < 1.5 * n * n * 8          # one int64 table, not two
+
     def test_inverse_table(self):
         q = dihedral_quandle(5)
         for x in range(5):
@@ -200,6 +217,15 @@ class TestKernelsMatchLoops:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
+
+    def test_first_hit_is_first_true_in_row_major_order(self):
+        rng = np.random.default_rng(9)
+        for shape in [(1,), (7,), (3, 4), (2, 3, 5)]:
+            for density in (0.0, 0.05, 0.5):
+                mask = rng.random(shape) < density
+                for m in (mask, mask.T):
+                    hits = [tuple(int(v) for v in h) for h in np.argwhere(m)]
+                    assert _kernels.first_hit(m) == (hits[0] if hits else None)
 
     def test_tables_have_hits_and_misses(self, seeded_tables):
         for oracle in LOOP_ORACLES.values():
@@ -442,6 +468,10 @@ class TestSubquandleClosure:
 
     def test_r3_pair(self):
         assert subquandle_closure(dihedral_quandle(3), {0, 1}) == {0, 1, 2}
+
+    def test_empty_seed(self):
+        with pytest.raises(ValueError, match="^seed must be nonempty$"):
+            subquandle_closure(dihedral_quandle(4), set())
 
     @pytest.mark.parametrize("seed", [{-1}, {4}, {0, 4}])
     def test_out_of_range_seed(self, seed):

@@ -116,6 +116,30 @@ class TestParse:
         with pytest.raises(DisconnectedStrand):
             make_diagram(3, 0, 2, [Crossing(1, 0, 1, 2)])
 
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: make_diagram(0, 0, 0, []), DanglingArc,
+         "diagram must have at least one arc"),
+        (lambda: make_diagram(2, 0, 2, []), DanglingArc, "endpoint arc 2 out of range"),
+        (lambda: make_diagram(3, 0, 2, [Crossing(2, 1, 0, 2)]), TangleSyntaxError,
+         "line 0: bad crossing sign 2"),
+        (lambda: make_diagram(3, 0, 2, [Crossing(1, 1, 2, 0)]), DisconnectedStrand,
+         "start arc exits a crossing"),
+        (lambda: make_diagram(3, 0, 2, [Crossing(1, 2, 0, 1), Crossing(1, 1, 0, 2)]),
+         DisconnectedStrand, "arc 0 enters two crossings"),
+        (lambda: make_diagram(3, 0, 0, [Crossing(1, 0, 1, 2)]), DisconnectedStrand,
+         "start and end coincide on a crossed diagram"),
+        (lambda: parse_tangle("arcs 2\nstart 0\nend 1\ncrossing * 0 0 1\n"),
+         TangleSyntaxError, "line 4: bad sign '*'"),
+        (lambda: parse_tangle("arcs two\n"), TangleSyntaxError,
+         "line 1: non-integer field in 'arcs two'"),
+        (lambda: enumerate_colorings(builtin_tangle("hopf"), trivial_quandle(2), "sum"),
+         ValueError, "unknown mode 'sum'"),
+    ])
+    def test_rejections(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
+
     def test_empty_diagram_unknot(self):
         d = parse_tangle("arcs 1\nstart 0\nend 0\n")
         assert d.crossings == ()
