@@ -22,29 +22,45 @@ def first_hit(mask):
 
 
 # Cube entries per x-slab of the n^3 scans (about 0.5 MB per int64 array).
-# A slab holds at least one x, so memory is O(n^2 * max(1, _SLAB / n^2)).
+# A slab holds at least one x, so with k distinct columns memory is
+# O(n * k * max(1, _SLAB / (n * k))).
 _SLAB = 1 << 16
 
 
 def _first_cube_mismatch(table, offsets):
     """First (x, y, z) in row-major order with
-    t[t[x,y], z] != t.flat[offsets[x] + t[y,z]], else (-1, -1, -1).
+    t[t[x,y], z] != t.flat[offsets[x, :, z] + t[y,z]], else (-1, -1, -1).
 
-    `offsets` broadcasts against an (x, y, z) cube.  Slabs of consecutive x
-    are scanned in increasing order and the scan stops at the first slab
-    with a mismatch, so the hit is the same as over the whole cube.
+    `offsets` is (n, 1, n), or (n, 1, 1) when it does not depend on z.
+    Column c = t[:, z] decides z's part of the cube: lhs = c[t[x,y]] and
+    the rhs of both axioms is t[c[x], c[y]] (self-distributivity) or
+    t[x, c[y]] (associativity, offsets[x] = x * n).  So z and z' with equal
+    columns fail at the same (x, y).  The scan visits only the least z of
+    each distinct column, in increasing order.  Every bad z has a bad
+    representative no larger than itself, so the first (x, y) with a bad z
+    is the first with a bad representative, and its least bad z is the
+    least bad representative.  Slabs of consecutive x, at most _SLAB
+    entries each, are scanned in increasing order and the scan stops at
+    the first slab with a mismatch.
     """
     n = table.shape[0]
     flat = table.ravel()
-    step = max(1, _SLAB // (n * n))
+    cols = np.ascontiguousarray(table.T)      # one byte string per column
+    _, first = np.unique(cols.view(np.dtype((np.void, cols.itemsize * n))),
+                         return_index=True)
+    zs = np.sort(first)
+    tz = table[:, zs]
+    if offsets.shape[2] != 1:
+        offsets = offsets[:, :, zs]
+    step = max(1, _SLAB // (n * zs.size))
     for x0 in range(0, n, step):
         xs = slice(x0, x0 + step)
-        lhs = np.take(table, table[xs], axis=0)          # t[t[x,y], z]
-        rhs = np.take(flat, offsets[xs] + table[None])
+        lhs = np.take(tz, table[xs], axis=0)             # t[t[x,y], z]
+        rhs = np.take(flat, offsets[xs] + tz[None])
         hit = first_hit(lhs != rhs)
         if hit:
-            x, y, z = hit
-            return (x0 + x, y, z)
+            x, y, k = hit
+            return (x0 + x, y, int(zs[k]))
     return (-1, -1, -1)
 
 

@@ -33,6 +33,9 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 64
+# Largest table read from a file or built by hopf_extension: a file's
+# check costs up to n^3, and an order-4096 table takes 128 MB per copy.
+MAX_TABLE_ORDER = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +471,8 @@ def identity_automorphism(g: FiniteGroup):
 def _parse_table_file(text, kind):
     """Table format shared by groups and quandles: line 1 `<kind> <n>`,
     then n rows of n integers.  `#` starts a comment.  Returns the rows as
-    an int64 array; the caller validates the axioms."""
+    an int64 array; the caller validates the axioms.  Raises OrderTooLarge
+    past MAX_TABLE_ORDER before reading any row."""
     lines = [ln for ln in (raw.split("#")[0].strip() for raw in text.splitlines())
              if ln]
     if not lines:
@@ -480,18 +484,22 @@ def _parse_table_file(text, kind):
         n = int(head[1])
     except ValueError:
         raise FileFormatError(f"first line must be '{kind} <n>'")
+    if n > MAX_TABLE_ORDER:
+        raise OrderTooLarge(f"{kind} order {n} exceeds bound {MAX_TABLE_ORDER}")
     if len(lines) != n + 1:
         raise FileFormatError(f"expected {n} table rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+    table = np.empty((n, n), dtype=np.int64)
+    for i, ln in enumerate(lines[1:]):
         try:
-            row = [int(v) for v in ln.split()]
+            row = np.array(ln.split(), dtype=np.int64)    # parses as int()
         except ValueError:
             raise FileFormatError(f"non-integer entry in row: {ln!r}")
-        if len(row) != n:
-            raise FileFormatError(f"row has {len(row)} entries, expected {n}")
-        rows.append(row)
-    return np.array(rows, dtype=np.int64)
+        except OverflowError:
+            raise FileFormatError(f"entry outside the int64 range in row: {ln!r}")
+        if row.size != n:
+            raise FileFormatError(f"row has {row.size} entries, expected {n}")
+        table[i] = row
+    return table
 
 
 def _format_table_file(kind, table):

@@ -19,9 +19,10 @@ from .errors import (
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
+    OrderTooLarge,
     SizeMismatch,
 )
-from .groups import FiniteGroup, GroupAutomorphism, Subgroup
+from .groups import MAX_TABLE_ORDER, FiniteGroup, GroupAutomorphism, Subgroup
 from .groups import (
     _closure,
     _first_repeat,
@@ -144,6 +145,8 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
     phi(x), hence h, hence x = (x <| y)^(h^-1).  So the formula is a quandle
     on G x G, and the ClosureViolation check proves G x N closed under <|,
     which makes it a subquandle.
+
+    Raises OrderTooLarge when |G| * |N| exceeds MAX_TABLE_ORDER.
     """
     if n.group is not g and not n.group.same_table(g):
         raise NotNormal("subgroup is not over the given group")
@@ -152,6 +155,8 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
     nelems = np.asarray(n.elements, dtype=np.int64)
     nsize = nelems.size
     size = g.order * nsize
+    if size > MAX_TABLE_ORDER:
+        raise OrderTooLarge(f"order {size} exceeds bound {MAX_TABLE_ORDER}")
     m, inv = g.table, g.inverse
     rank = np.full(g.order, -1, dtype=np.int64)
     rank[nelems] = np.arange(nsize)

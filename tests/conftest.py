@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from quandlekit.groups import census_catalog
+from quandlekit.groups import census_catalog, normal_subgroups
 from quandlekit.quandles import (
     conj_quandle,
     dihedral_quandle,
+    hopf_extension,
     relabel,
     restrict,
     subquandle_closure,
@@ -69,6 +70,44 @@ def seeded_tables():
             tables += [r, m]
     for n in range(1, 7):
         tables += [rng.integers(n, size=(n, n)) for _ in range(20)]
+    return tables
+
+
+@pytest.fixture(scope="session")
+def repeated_column_tables():
+    """Tables of order <= 8 built with fewer distinct columns than rows:
+    quandles (trivial, Conj of a group with a nontrivial center,
+    hopf_extension over N != 1) and associative tables (a group times a
+    left-zero band, (g, a)(h, b) = (gh, a)) under random relabelings
+    (valid), each also with one random entry overwritten, plus random
+    tables whose n columns are copies of k < n random columns."""
+    rng = np.random.default_rng(20261018)
+    cat = census_catalog(8)
+    valid = [trivial_quandle(n).table for n in range(2, 9)]
+    valid += [conj_quandle(g).table for g in cat]
+    valid += [hopf_extension(g, s).table for g in cat for s in normal_subgroups(g)
+              if 1 < len(s.elements) and g.order * len(s.elements) <= 8]
+    for g in census_catalog(4):
+        for k in range(2, 8 // g.order + 1):
+            band = g.table[:, None, :, None] * k + np.arange(k)[None, :, None, None]
+            valid.append(np.broadcast_to(band, (g.order, k) * 2)
+                         .reshape(g.order * k, g.order * k))
+    tables = []
+    for t in valid:
+        n = t.shape[0]
+        if len({col.tobytes() for col in np.array(t.T)}) == n:
+            continue
+        for _ in range(4):
+            p = rng.permutation(n)
+            r = np.empty_like(t)
+            r[np.ix_(p, p)] = p[t]
+            m = r.copy()
+            m[rng.integers(n), rng.integers(n)] = rng.integers(n)
+            tables += [r, m]
+    for n in range(2, 9):
+        for _ in range(15):
+            k = rng.integers(1, n)
+            tables.append(rng.integers(n, size=(n, k))[:, rng.integers(k, size=n)])
     return tables
 
 

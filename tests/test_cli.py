@@ -93,6 +93,16 @@ class TestValidate:
         assert (code, out) == (65, "")
         assert "entries must lie in 0..1" in err
 
+    @pytest.mark.parametrize("text, err", [
+        ("quandle 2\n0 0\n1 99999999999999999999\n",
+         "error: entry outside the int64 range in row: '1 99999999999999999999'"),
+        ("quandle 1025\n", "error: quandle order 1025 exceeds bound 1024"),
+    ])
+    def test_unreadable_table_is_65(self, capsys, tmp_path, text, err):
+        p = tmp_path / "bad.qdl"
+        p.write_text(text)
+        assert run(capsys, "validate", "quandle", str(p)) == (65, "", err + "\n")
+
     def test_missing_file_is_65(self, capsys):
         code, _, err = run(capsys, "validate", "quandle", "/nonexistent.qdl")
         assert code == 65
@@ -214,6 +224,10 @@ class TestConstruct:
     (["present", "as"], 64, "usage error: present as requires --quandle"),
     (["present", "fundamental"], 64,
      "usage error: present fundamental requires --tangle"),
+    (["construct", "hopf-ext", "--group", "cyclic:33", "--normal", "full"], 65,
+     "error: order 1089 exceeds bound 1024"),
+    (["construct", "hopf-ext", "--group", "cyclic:64", "--normal", "full"], 65,
+     "error: order 4096 exceeds bound 1024"),
 ])
 def test_usage_and_range_errors(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err + "\n")

@@ -481,6 +481,8 @@ class TestGroupFiles:
         ("group 2\n0 1\n", "expected 2 table rows, got 1"),
         ("group 2\n0 1\n1 x\n", "non-integer entry in row: '1 x'"),
         ("group 2\n0 1\n1\n", "row has 1 entries, expected 2"),
+        ("group 2\n0 1\nx\n", "non-integer entry in row: 'x'"),   # both faults
+        ("group 2\n0 1\n1 1.0\n", "non-integer entry in row: '1 1.0'"),
     ])
     def test_rejects_malformed_file(self, text, message):
         with pytest.raises(FileFormatError, match=message):

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,10 +16,12 @@ from quandlekit.errors import (
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
+    OrderTooLarge,
     QuandleValidationError,
     SizeMismatch,
 )
 from quandlekit.groups import (
+    MAX_TABLE_ORDER,
     GroupAutomorphism,
     Subgroup,
     automorphisms,
@@ -26,9 +29,11 @@ from quandlekit.groups import (
     census_catalog,
     center,
     cyclic_group,
+    dihedral_group,
     direct_product,
     identity_automorphism,
     normal_subgroups,
+    parse_group_file,
     subgroups,
 )
 from quandlekit.quandles import (
@@ -46,6 +51,13 @@ from quandlekit.quandles import (
     trivial_quandle,
     validate_quandle,
 )
+
+
+@pytest.fixture(scope="module")
+def hopf1024():
+    """HopfExt(D16, D16), the order-1024 example of the README."""
+    g = dihedral_group(16)
+    return hopf_extension(g, Subgroup(g, tuple(range(g.order)), True))
 
 
 def q8_sigma():
@@ -202,6 +214,31 @@ class TestKernelsMatchLoops:
         kernel = getattr(_kernels, name)
         for t in seeded_tables:
             assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
+
+    # The cube kernels scan one z per distinct column and map the hit back
+    # to the least bad z; these tables repeat columns, so a hit mapped to
+    # the wrong member of its class, or classes scanned out of order, show.
+    @pytest.mark.parametrize("slab", [None, 1, 50])
+    @pytest.mark.parametrize("name", ["assoc_violation", "self_distrib_violation"])
+    def test_repeated_columns(self, name, slab, repeated_column_tables,
+                              monkeypatch):
+        if slab:
+            monkeypatch.setattr(_kernels, "_SLAB", slab)
+        kernel = getattr(_kernels, name)
+        hits = set()
+        for t in repeated_column_tables:
+            want = LOOP_ORACLES[name](t.tolist())
+            assert kernel(t) == want, t.tolist()
+            hits.add(want[0] != -1)
+        assert hits == {False, True}
+
+    def test_order_1024_hopf_extension_under_3_seconds(self, hopf1024):
+        # 1024 columns but only 32 distinct ones: column y of HopfExt(G, N)
+        # depends on phi(y) alone.  A scan of all n^3 triples takes about
+        # 8.5 s on a 2-vCPU Xeon, the distinct columns about 0.2 s.
+        start = time.perf_counter()
+        assert _kernels.self_distrib_violation(hopf1024.table) == (-1, -1, -1)
+        assert time.perf_counter() - start < 3
 
     @pytest.mark.parametrize("name,build", [
         ("self_distrib_violation", dihedral_quandle_table),
@@ -449,6 +486,12 @@ class TestHopfExtension:
         assert q.op(x, y) == x
         assert q.op(y, x) != y
 
+    def test_order_bound(self, hopf1024):
+        assert hopf1024.order == MAX_TABLE_ORDER
+        g = cyclic_group(33)                  # 33 * 33 = 1089
+        with pytest.raises(OrderTooLarge, match="order 1089 exceeds bound 1024"):
+            hopf_extension(g, Subgroup(g, tuple(range(33)), True))
+
     def test_not_normal(self):
         g = catalog("symmetric", 3)
         bad = next(s for s in subgroups(g) if len(s.elements) == 2)
@@ -652,8 +695,25 @@ class TestQuandleFiles:
     @pytest.mark.parametrize("text, message", [
         ("quandle 0\n", "nonempty square matrix"),
         ("quandle 2\n0 5\n1 1\n", "entries must lie in 0..1"),
+        ("quandle 2\n0 0\n1 99999999999999999999\n",
+         "entry outside the int64 range in row: '1 99999999999999999999'"),
+        ("quandle 2\n0 0\n1 -9223372036854775809\n",
+         "entry outside the int64 range in row: '1 -9223372036854775809'"),
     ])
     def test_rejects_bad_table(self, text, message):
         from quandlekit.errors import FileFormatError
         with pytest.raises(FileFormatError, match=message):
             parse_quandle_file(text)
+
+    def test_order_bound(self, hopf1024):
+        assert parse_quandle_file(format_quandle_file(hopf1024)).same_table(hopf1024)
+        # rejected from the header alone, before the row count is checked
+        for parse, kind in [(parse_quandle_file, "quandle"), (parse_group_file, "group")]:
+            with pytest.raises(OrderTooLarge, match=f"{kind} order 1025 exceeds bound 1024"):
+                parse(f"{kind} {MAX_TABLE_ORDER + 1}\n0\n")
+
+    def test_rows_parse_as_int(self):
+        # a token is read as int() reads it: signs, zero padding,
+        # underscores and Unicode digits (U+0661 is ARABIC-INDIC DIGIT ONE)
+        q = parse_quandle_file("quandle 2\n+0 0_0\n\u0661 01\n")
+        assert q.same_table(trivial_quandle(2))
