@@ -3,7 +3,7 @@
 Every position the package reports (a violation, a witness, a repeat) is
 the *first* one in row-major scan order: the order of nested loops over
 the index tuple, last index fastest.  `first_hit` is the one place that
-picks it.  The kernels return all -1 when there is no hit.
+picks it, and the kernels return its None when there is no hit.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ _SLAB = 1 << 16
 
 def _first_cube_mismatch(table, offsets):
     """First (x, y, z) in row-major order with
-    t[t[x,y], z] != t.flat[offsets[x, :, z] + t[y,z]], else (-1, -1, -1).
+    t[t[x,y], z] != t.flat[offsets[x, :, z] + t[y,z]], else None.
 
     `offsets` is (n, 1, n), or (n, 1, 1) when it does not depend on z.
     Column c = t[:, z] decides z's part of the cube: lhs = c[t[x,y]] and
@@ -61,29 +61,45 @@ def _first_cube_mismatch(table, offsets):
         if hit:
             x, y, k = hit
             return (x0 + x, y, int(zs[k]))
-    return (-1, -1, -1)
+    return None
 
 
 def assoc_violation(table):
-    """First (i, j, k) with (i*j)*k != i*(j*k), else (-1, -1, -1)."""
+    """First (i, j, k) with (i*j)*k != i*(j*k), else None."""
     n = table.shape[0]                  # i*(j*k) = t.flat[i*n + t[j,k]]
     return _first_cube_mismatch(table, (np.arange(n) * n)[:, None, None])
 
 
 def self_distrib_violation(table):
-    """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z)."""
+    """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z), else None."""
     n = table.shape[0]        # (x<|z)<|(y<|z) = t.flat[t[x,z]*n + t[y,z]]
     return _first_cube_mismatch(table, (table * n)[:, None, :])
 
 
 def hopf_witness_scan(table):
-    """First (x, y) with x<|y == x and y<|x != y, else (-1, -1)."""
+    """First (x, y) with x<|y == x and y<|x != y, else None."""
     fixed = table == np.arange(table.shape[0])[:, None]     # x<|y == x
-    return first_hit(fixed & ~fixed.T) or (-1, -1)
+    return first_hit(fixed & ~fixed.T)
 
 
 def trefoil_witness_scan(table):
-    """First (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else (-1, -1)."""
+    """First (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else None."""
     ar = np.arange(table.shape[0])
     cond = table[table, ar[:, None]] == ar[None, :]      # (x<|y)<|x == y
-    return first_hit(cond & ~cond.T) or (-1, -1)
+    return first_hit(cond & ~cond.T)
+
+
+def cycle_lengths(table):
+    """lens[z, y]: the length of the cycle through z of the column
+    permutation S_y: z -> t[z, y].  Pointer doubling on the points (y, z),
+    numbered y*n + z: after k steps lab[y, z] is the least number among z,
+    S_y(z), ..., S_y^(2^k - 1)(z), so after ceil(log2 n) steps it numbers
+    the least point of z's cycle, and counting the points per label gives
+    the cycle's length."""
+    n = table.shape[0]
+    lab = np.arange(n * n).reshape(n, n)
+    p = table.T + lab[:, :1]                  # p[y, z] numbers S_y(z)
+    for _ in range((n - 1).bit_length()):
+        lab = np.minimum(lab, np.take(lab, p))
+        p = np.take(p, p)
+    return np.bincount(lab.ravel(), minlength=n * n)[lab].T

@@ -59,19 +59,15 @@ class CensusRecord:
 def hopf_witness(q: FiniteQuandle):
     """First (x, y) in lexicographic order with x <| y = x, y <| x != y;
     None exactly when q is Hopf-link admissible."""
-    x, y = _kernels.hopf_witness_scan(q.table)
-    if x == -1:
-        return None
-    return Witness(int(x), int(y), "hopf")
+    hit = _kernels.hopf_witness_scan(q.table)
+    return None if hit is None else Witness(*hit, "hopf")
 
 
 def trefoil_witness(q: FiniteQuandle):
     """First (x, y) in lexicographic order with (x <| y) <| x = y and
     (y <| x) <| y != x; None exactly when q is trefoil admissible."""
-    x, y = _kernels.trefoil_witness_scan(q.table)
-    if x == -1:
-        return None
-    return Witness(int(x), int(y), "trefoil")
+    hit = _kernels.trefoil_witness_scan(q.table)
+    return None if hit is None else Witness(*hit, "trefoil")
 
 
 def associated_group_presentation(q: FiniteQuandle):
@@ -95,7 +91,8 @@ def census_galex(max_group_order, dedup=False):
     order.  With dedup, only the first representative of each quandle
     isomorphism class is kept (flagged as such).  Dedup first merges each
     Aut(G)-conjugacy class of automorphisms, checking the conjugator as the
-    isomorphism, and searches isomorphisms among class leaders only.
+    isomorphism, then scans witnesses and searches isomorphisms among the
+    class leaders only.
 
     Returns (records, quandles) aligned lists.
     """
@@ -103,45 +100,36 @@ def census_galex(max_group_order, dedup=False):
         raise OrderTooLarge(
             f"census limited to group order {DEFAULT_MAX_ORDER}")
     records, quandles = [], []
-    leaders = []    # census indices of Aut(G)-conjugacy class leaders
     for grp in census_catalog(max_group_order):
         auts = automorphisms(grp)
-        base = len(records)
-        for ai, sigma in enumerate(auts):
-            q = galex(grp, sigma)
+        qs = [galex(grp, sigma) for sigma in auts]
+        keep = range(len(auts))
+        if dedup:
+            keep = []
+            for c, (li, phi) in enumerate(_aut_class_leaders(auts)):
+                if li == c:
+                    keep.append(c)
+                elif not is_homomorphism(phi, qs[li], qs[c]):
+                    raise RuntimeError(
+                        f"conjugator does not map GAlex({grp.name}, aut {li}) "
+                        f"onto GAlex({grp.name}, aut {c})")
+        for ai in keep:
+            q = qs[ai]
             records.append(CensusRecord(
                 group_name=grp.name,
                 group_order=grp.order,
                 automorphism_index=ai,
                 quandle_order=q.order,
-                isomorphism_class_representative=False,
+                isomorphism_class_representative=dedup,
                 hopf_admissible=hopf_witness(q) is None,
                 trefoil_admissible=trefoil_witness(q) is None,
             ))
             quandles.append(q)
-        if not dedup:
-            continue
-        for c, (li, phi) in enumerate(_aut_class_leaders(auts)):
-            if li == c:
-                leaders.append(base + c)
-            elif not is_homomorphism(phi, quandles[base + li],
-                                     quandles[base + c]):
-                raise RuntimeError(
-                    f"conjugator does not map GAlex({grp.name}, aut {li}) "
-                    f"onto GAlex({grp.name}, aut {c})")
-    if not dedup:
-        return records, quandles
-    # A non-leader is isomorphic to its earlier leader, so the first record
-    # of every isomorphism class is a leader: only leaders need comparing.
-    kept_r, kept_q = dedup_by_isomorphism([records[i] for i in leaders],
-                                          [quandles[i] for i in leaders])
-    kept_r = [
-        CensusRecord(r.group_name, r.group_order, r.automorphism_index,
-                     r.quandle_order, True, r.hopf_admissible,
-                     r.trefoil_admissible)
-        for r in kept_r
-    ]
-    return kept_r, kept_q
+    if dedup:
+        # A non-leader is isomorphic to its earlier leader, so the first
+        # record of every isomorphism class is a leader.
+        return dedup_by_isomorphism(records, quandles)
+    return records, quandles
 
 
 def _aut_class_leaders(auts):

@@ -56,15 +56,9 @@ class FiniteGroup:
     def is_abelian(self):
         return bool(np.array_equal(self.table, self.table.T))
 
-    def element_order(self, x):
-        k, p = 1, x
-        while p != self.identity:
-            p = self.mul(p, x)
-            k += 1
-        return k
-
     def element_orders(self):
-        return [self.element_order(x) for x in range(self.order)]
+        # the cycle of e under right multiplication by x is e, x, x^2, ...
+        return _kernels.cycle_lengths(self.table)[self.identity].tolist()
 
     def label(self, i):
         return self.labels[i] if self.labels else str(i)
@@ -147,9 +141,9 @@ def validate_group(table, name="group", labels=()):
         raise NoIdentity()
     identity, = hit
 
-    i, j, k = _kernels.assoc_violation(t)
-    if i != -1:
-        raise NotAssociative(i, j, k)
+    hit = _kernels.assoc_violation(t)
+    if hit:
+        raise NotAssociative(*hit)
 
     inverse = np.argmax(t == identity, axis=1)
     assert (t[inverse, ar] == identity).all()
@@ -282,41 +276,29 @@ def parse_group_spec(spec):
     return g
 
 
+# (order, spec) of each census group: all catalog families plus a few
+# abelian products, up to DEFAULT_MAX_ORDER
+CENSUS_SPECS = (
+    [(n, f"cyclic:{n}") for n in range(1, DEFAULT_MAX_ORDER + 1)]
+    + [(2 * n, f"dihedral:{n}") for n in range(3, DEFAULT_MAX_ORDER // 2 + 1)]
+    + [(8, "quaternion8"), (16, "generalized_quaternion16"),
+       (6, "symmetric:3"), (24, "symmetric:4"), (12, "alternating:4"),
+       (4, "cyclic:2*cyclic:2"), (8, "cyclic:2*cyclic:4"),
+       (12, "cyclic:2*cyclic:6"), (16, "cyclic:2*cyclic:8"),
+       (16, "cyclic:4*cyclic:4"), (8, "cyclic:2*cyclic:2*cyclic:2"),
+       (16, "cyclic:2*cyclic:2*cyclic:4")])
+
+
 def census_catalog(max_order):
     """The deterministic desk-scale group list used by the census and the
-    acceptance suite: all catalog families plus a few abelian products,
-    restricted to |G| <= max_order, sorted by (order, name).
+    acceptance suite: the CENSUS_SPECS groups with |G| <= max_order,
+    sorted by (order, name).
 
     This is necessarily a subset of all groups of each order; no
     completeness is claimed.
     """
-    gs = []
-    for n in range(1, max_order + 1):
-        gs.append(cyclic_group(n))
-    for n in range(3, max_order // 2 + 1):
-        gs.append(dihedral_group(n))
-    if max_order >= 8:
-        gs.append(quaternion_group())
-    if max_order >= 16:
-        gs.append(generalized_quaternion16())
-    if max_order >= 6:
-        gs.append(symmetric_group(3))
-    if max_order >= 24:
-        gs.append(symmetric_group(4))
-    if max_order >= 12:
-        gs.append(alternating_group(4))
-    products = [(2, 2), (2, 4), (2, 6), (2, 8), (4, 4)]
-    for a, b in products:
-        if a * b <= max_order:
-            gs.append(direct_product(cyclic_group(a), cyclic_group(b)))
-    if 8 <= max_order:
-        v4 = direct_product(cyclic_group(2), cyclic_group(2))
-        gs.append(direct_product(v4, cyclic_group(2)))       # (Z2)^3
-    if 16 <= max_order:
-        v4 = direct_product(cyclic_group(2), cyclic_group(2))
-        gs.append(direct_product(v4, cyclic_group(4)))       # Z2 x Z2 x Z4
-    gs.sort(key=lambda g: (g.order, g.name))
-    return gs
+    gs = [parse_group_spec(spec) for n, spec in CENSUS_SPECS if n <= max_order]
+    return sorted(gs, key=lambda g: (g.order, g.name))
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -348,7 +330,11 @@ def _is_normal(g: FiniteGroup, elems):
 def subgroups(g: FiniteGroup):
     """All subgroups, by BFS joins over the lattice seeded with the cyclic
     subgroups.  Complete because every subgroup is the join of the cyclic
-    subgroups it contains."""
+    subgroups it contains.  Raises OrderTooLarge past DEFAULT_MAX_ORDER:
+    the lattice grows fast, and (Z2)^6 of order 64 already has 2825."""
+    if g.order > DEFAULT_MAX_ORDER:
+        raise OrderTooLarge(
+            f"subgroups of order {g.order} exceed bound {DEFAULT_MAX_ORDER}")
     cyclics = {_closure((g.table,), {x}) for x in range(g.order)}
     found = set(cyclics)
     queue = deque(found)

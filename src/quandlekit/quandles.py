@@ -68,9 +68,9 @@ def validate_quandle(table, label=""):
     if col is not None:
         raise ColumnNotBijective(col[0])
 
-    x, y, z = _kernels.self_distrib_violation(t)
-    if x != -1:
-        raise NotSelfDistributive(x, y, z)
+    hit = _kernels.self_distrib_violation(t)
+    if hit:
+        raise NotSelfDistributive(*hit)
     return _quandle(t, label)
 
 
@@ -215,32 +215,15 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
     return bool(np.array_equal(fm[src.table], dst.table[fm[:, None], fm[None, :]]))
 
 
-def _cycle_type(perm):
-    n = len(perm)
-    seen = [False] * n
-    lens = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        l, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            l += 1
-        lens.append(l)
-    return tuple(sorted(lens))
-
-
 def invariant_profile(q: FiniteQuandle):
-    """Per-element invariant used to prune isomorphism search: cycle type
-    of the column permutation S_x plus the fixed-point count of row x."""
+    """Per-element invariant used to prune isomorphism search: the sorted
+    cycle lengths of the points under the column permutation S_x (a cycle
+    of length l gives l entries l, so this is S_x's cycle type) plus the
+    fixed-point count of row x."""
     t = q.table
-    prof = []
-    for x in range(q.order):
-        col = [int(t[z, x]) for z in range(q.order)]
-        row_fix = int(np.count_nonzero(t[x] == x))
-        prof.append((_cycle_type(col), row_fix))
-    return prof
+    lens = np.sort(_kernels.cycle_lengths(t), axis=0).T.tolist()
+    fix = np.count_nonzero(t == np.arange(q.order)[:, None], axis=1).tolist()
+    return [(tuple(c), f) for c, f in zip(lens, fix)]
 
 
 def isomorphic(a: FiniteQuandle, b: FiniteQuandle):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import os
 import resource
@@ -233,6 +234,12 @@ def test_usage_and_range_errors(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err + "\n")
 
 
+def test_help_is_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: quandlekit")
+
+
 def test_internal_error_is_70(capsys, monkeypatch, r3_file):
     def broken(q):
         raise RuntimeError("broken invariant")
@@ -336,6 +343,18 @@ class TestCensusAndCatalog:
         lines = out.strip().splitlines()
         assert lines[0].startswith("#group_name")
         assert len(lines) > 1
+
+    # sha256 of stdout: the census TSV is pinned byte for byte
+    @pytest.mark.parametrize("argv, digest", [
+        (("--max-order", "16", "--dedup"),
+         "fa6dfe288029f53f21b88a0439c74a5ee24789e95483210fdd7843425790f1df"),
+        (("--max-order", "48"),
+         "ca8be30d5d8a772f2b110d50b073237c651ab5aa98a00bd70c106b94b7ac96f0"),
+    ], ids=["dedup16", "raw48"])
+    def test_census_output_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "census", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_catalog_lists_groups(self, capsys):
         code, out, _ = run(capsys, "catalog")

@@ -60,6 +60,10 @@ class TestHopfWitness:
             for aut in automorphisms(g):
                 assert hopf_witness(galex(g, aut)) is None
 
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown witness kind 'unknot'"):
+            Witness(0, 1, "unknot").holds_in(trivial_quandle(2))
+
     def test_first_witness_is_lexicographic(self):
         g = catalog("symmetric", 3)
         full = next(s for s in normal_subgroups(g) if len(s.elements) == 6)

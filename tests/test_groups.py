@@ -58,9 +58,9 @@ def _validate_group_loop(t):
                      if t[e] == ar and [r[e] for r in t] == ar), None)
     if identity is None:
         raise NoIdentity()
-    i, j, k = _kernels.assoc_violation(np.array(t))
-    if i != -1:
-        raise NotAssociative(i, j, k)
+    hit = _kernels.assoc_violation(np.array(t))
+    if hit:
+        raise NotAssociative(*hit)
     inverse = [t[x].index(identity) for x in range(n)]
     assert all(t[y][x] == identity for x, y in enumerate(inverse))
     return identity, inverse
@@ -159,7 +159,7 @@ class TestValidateGroup:
 
         def record(t):
             held.append(tracemalloc.get_traced_memory()[0])
-            return (-1, -1, -1)
+            return None
 
         monkeypatch.setattr(_kernels, "assoc_violation", record)
         tracemalloc.start()
@@ -392,6 +392,17 @@ class TestAutomorphisms:
                 assert a.map[g.identity] == g.identity
 
 
+def test_element_orders_match_repeated_multiplication():
+    for g in census_catalog(64):
+        want = []
+        for x in range(g.order):
+            k, p = 1, x
+            while p != g.identity:
+                k, p = k + 1, g.mul(p, x)
+            want.append(k)
+        assert g.element_orders() == want, g.name
+
+
 class TestSubgroups:
     def test_s3_normal(self):
         g = catalog("symmetric", 3)
@@ -405,6 +416,17 @@ class TestSubgroups:
 
     def test_trivial_group(self):
         assert len(subgroups(cyclic_group(1))) == 1
+
+    def test_order_bound(self, monkeypatch):
+        assert len(subgroups(cyclic_group(64))) == 7      # one per divisor
+        g = validate_group(z_table(65))
+        closures = []
+        monkeypatch.setattr(groups, "_closure", lambda *a: closures.append(a))
+        with pytest.raises(OrderTooLarge, match="order 65"):
+            subgroups(g)
+        with pytest.raises(OrderTooLarge):
+            normal_subgroups(g)
+        assert closures == []
 
     def test_s3_all_subgroups(self):
         # 1 trivial + 3 of order 2 + 1 of order 3 + full = 6

@@ -116,7 +116,7 @@ class TestValidateQuandle:
 
         def record(t):
             held.append(tracemalloc.get_traced_memory()[0])
-            return (-1, -1, -1)
+            return None
 
         monkeypatch.setattr(_kernels, "self_distrib_violation", record)
         tracemalloc.start()
@@ -142,7 +142,7 @@ def _assoc_loop(t):
             for k in range(n):
                 if t[ij][k] != t[i][t[j][k]]:
                     return (i, j, k)
-    return (-1, -1, -1)
+    return None
 
 
 def _self_distrib_loop(t):
@@ -153,7 +153,7 @@ def _self_distrib_loop(t):
             for z in range(n):
                 if t[xy][z] != t[t[x][z]][t[y][z]]:
                     return (x, y, z)
-    return (-1, -1, -1)
+    return None
 
 
 def _hopf_loop(t):
@@ -162,7 +162,7 @@ def _hopf_loop(t):
         for y in range(n):
             if t[x][y] == x and t[y][x] != y:
                 return (x, y)
-    return (-1, -1)
+    return None
 
 
 def _trefoil_loop(t):
@@ -171,7 +171,7 @@ def _trefoil_loop(t):
         for y in range(n):
             if t[t[x][y]][x] == y and t[t[y][x]][y] != x:
                 return (x, y)
-    return (-1, -1)
+    return None
 
 
 def dihedral_quandle_table(n):
@@ -195,7 +195,7 @@ LOOP_ORACLES = {
 
 class TestKernelsMatchLoops:
     """Each kernel reports exactly the first hit of the plain row-major
-    loop, or all -1 when the loop finds none."""
+    loop, or None when the loop finds none."""
 
     @pytest.mark.parametrize("name", sorted(LOOP_ORACLES))
     def test_seeded_tables(self, name, seeded_tables):
@@ -229,7 +229,7 @@ class TestKernelsMatchLoops:
         for t in repeated_column_tables:
             want = LOOP_ORACLES[name](t.tolist())
             assert kernel(t) == want, t.tolist()
-            hits.add(want[0] != -1)
+            hits.add(want is not None)
         assert hits == {False, True}
 
     def test_order_1024_hopf_extension_under_3_seconds(self, hopf1024):
@@ -237,7 +237,7 @@ class TestKernelsMatchLoops:
         # depends on phi(y) alone.  A scan of all n^3 triples takes about
         # 8.5 s on a 2-vCPU Xeon, the distinct columns about 0.2 s.
         start = time.perf_counter()
-        assert _kernels.self_distrib_violation(hopf1024.table) == (-1, -1, -1)
+        assert _kernels.self_distrib_violation(hopf1024.table) is None
         assert time.perf_counter() - start < 3
 
     @pytest.mark.parametrize("name,build", [
@@ -249,7 +249,7 @@ class TestKernelsMatchLoops:
         table = build(400)
         tracemalloc.start()
         try:
-            assert getattr(_kernels, name)(table) == (-1, -1, -1)
+            assert getattr(_kernels, name)(table) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,13 +266,76 @@ class TestKernelsMatchLoops:
 
     def test_tables_have_hits_and_misses(self, seeded_tables):
         for oracle in LOOP_ORACLES.values():
-            firsts = {oracle(t.tolist())[0] for t in seeded_tables}
-            assert -1 in firsts and len(firsts) > 2
+            hits = {oracle(t.tolist()) for t in seeded_tables}
+            assert None in hits and len({h[0] for h in hits - {None}}) > 1
 
     def test_assoc_first_violation(self):
         # i - j mod 3: (0-0)-1 = 2 but 0-(0-1) = 1
         t = np.array([[(i - j) % 3 for j in range(3)] for i in range(3)])
         assert _kernels.assoc_violation(t) == (0, 0, 1)
+
+
+def _cycle_type_loop(t, y):
+    """The cycle lengths of column permutation z -> t[z][y], each cycle
+    walked once, with the cycle of each point."""
+    n = len(t)
+    cycle_of, lens = [None] * n, []
+    for z in range(n):
+        if cycle_of[z] is not None:
+            continue
+        w, length = z, 0
+        while cycle_of[w] is None:
+            cycle_of[w] = len(lens)
+            w, length = t[w][y], length + 1
+        lens.append(length)
+    return lens, cycle_of
+
+
+def _alexander_table(p, a):
+    """Alexander quandle on Z_p: x <| y = a x + (1 - a) y."""
+    ar = np.arange(p)
+    return (a * ar[:, None] + (1 - a) * ar[None, :]) % p
+
+
+class TestCycleLengths:
+    # a is a primitive root mod p: every column of the Alexander quandle
+    # is one fixed point and one cycle of length p - 1
+    PRIMITIVE = [(61, 2), (101, 2), (251, 6)]
+
+    @pytest.fixture(scope="class")
+    def quandle_list(self, random_quandles, catalog16):
+        out = list(random_quandles)
+        out += [galex(g, s) for g in catalog16 for s in automorphisms(g)[:4]]
+        out += [validate_quandle(_alexander_table(p, a)) for p, a in self.PRIMITIVE]
+        return out
+
+    def test_matches_cycle_walk(self, quandle_list):
+        rng = np.random.default_rng(20261019)
+        tables = [q.table for q in quandle_list]
+        # random column permutations, so long and mixed cycles
+        tables += [np.argsort(rng.random((n, n)), axis=0) for n in range(1, 41)]
+        for t in tables:
+            rows = t.tolist()
+            want = np.empty(t.shape, dtype=np.int64)
+            for y in range(t.shape[0]):
+                lens, cycle_of = _cycle_type_loop(rows, y)
+                want[:, y] = [lens[c] for c in cycle_of]
+            assert np.array_equal(_kernels.cycle_lengths(t), want), rows
+
+    @pytest.mark.parametrize("p, a", PRIMITIVE)
+    def test_primitive_root_has_one_long_cycle(self, p, a):
+        assert len({pow(a, k, p) for k in range(p - 1)}) == p - 1
+        lens = _kernels.cycle_lengths(_alexander_table(p, a))
+        assert np.array_equal(lens, np.where(np.eye(p, dtype=bool), 1, p - 1))
+
+    def test_profile_sorts_the_cycle_type(self, quandle_list):
+        # each cycle of length l contributes l entries l to the sorted column
+        for q in quandle_list:
+            rows = q.table.tolist()
+            for x, (col, fix) in enumerate(quandles.invariant_profile(q)):
+                lens, _ = _cycle_type_loop(rows, x)
+                assert col == tuple(sorted(l for l in lens for _ in range(l)))
+                assert fix == rows[x].count(x)
 
 
 def _validate_quandle_loop(t):
@@ -286,9 +349,9 @@ def _validate_quandle_loop(t):
     for y in range(n):
         if len({t[x][y] for x in range(n)}) != n:
             raise ColumnNotBijective(y)
-    x, y, z = _self_distrib_loop(t)
-    if x != -1:
-        raise NotSelfDistributive(x, y, z)
+    hit = _self_distrib_loop(t)
+    if hit:
+        raise NotSelfDistributive(*hit)
     inv = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):

@@ -19,6 +19,7 @@ from quandlekit.errors import (
     UnknownName,
 )
 from quandlekit.groups import automorphisms, catalog
+from quandlekit.presentation import Presentation
 from quandlekit.quandles import (
     conj_quandle,
     dihedral_quandle,
@@ -88,6 +89,10 @@ class TestParse:
             text = format_tangle(d)
             assert parse_tangle(text) == d
             assert format_tangle(parse_tangle(text)) == text
+
+    def test_skips_comment_and_blank_lines(self):
+        text = "# Hopf link\n\n" + HOPF_TEXT.replace("\n", "  # note\n\n   \n", 1)
+        assert parse_tangle(text) == builtin_tangle("hopf")
 
     def test_syntax_error_names_line(self):
         with pytest.raises(TangleSyntaxError) as exc:
@@ -358,6 +363,10 @@ class TestPresentation:
         assert p.relations == (("a0 <| a1", "a2"), ("a1 <| a2", "a1"))
         assert p.format() == ("gen a0\ngen a1\ngen a2\n"
                               "rel a0 <| a1 = a2\nrel a1 <| a2 = a1\n")
+
+    def test_unknown_generator(self):
+        with pytest.raises(ValueError, match="unknown generator 'a2'"):
+            Presentation(("a0", "a1"), (("a0 <| a2", "a1"),), "fundamental_quandle")
 
     def test_trefoil(self):
         p = fundamental_quandle_presentation(builtin_tangle("trefoil"))
