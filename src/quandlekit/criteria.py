@@ -22,7 +22,8 @@ from .groups import DEFAULT_MAX_ORDER, automorphisms, census_catalog
 from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
-    _first_isomorphism,
+    _any_isomorphism,
+    _orbit_leaders,
     galex,
     invariant_profile,
     is_homomorphism,
@@ -153,14 +154,16 @@ def _aut_class_leaders(auts):
 
 def dedup_by_isomorphism(records, quandles):
     """Keep the first record of each quandle isomorphism class.  Quandles
-    are bucketed by (order, invariant-profile multiset) before the full
-    isomorphism search is attempted."""
+    are bucketed by (order, invariant-profile multiset) before the
+    isomorphism search, which only asks whether a map exists."""
     buckets = defaultdict(list)   # key -> [(kept quandle, its profile)]
     kept_r, kept_q = [], []
     for rec, q in zip(records, quandles):
         prof = invariant_profile(q)
         bucket = buckets[(q.order, tuple(sorted(prof)))]
-        if all(_first_isomorphism(k, q, pk, prof) is None for k, pk in bucket):
+        leaders = _orbit_leaders(q) if bucket else []
+        if all(_any_isomorphism(k, q, pk, prof, leaders) is None
+               for k, pk in bucket):
             bucket.append((q, prof))
             kept_r.append(rec)
             kept_q.append(q)

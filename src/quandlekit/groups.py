@@ -380,12 +380,12 @@ def _isomorphisms(ta, tb, ca, cb, fixed=()):
     ca[x] == cb[f(x)], and f(s[x, y]) = t[f(x), f(y)] for each table pair
     (s, t) of ta and tb, in lexicographic order of the map.
 
-    The search branches on the least unmapped x, images ascending, and x
-    joins the branch elements B.  Propagation maps s[y, b] to t[f(y), f(b)]
-    for every mapped y and b in B; a clash, a reused image or a color
-    mismatch prunes the node.  So a full map commutes with the right action
-    S_b of each b in B, and B generates the source from fixed: from e in a
-    group, and through the inverse tables in a quandle.  In a group with
+    The fixed elements, in order, and then the least unmapped x, images
+    ascending, join the branch elements B.  Propagation maps s[y, b] to
+    t[f(y), f(b)] for every mapped y and b in B; a clash, a reused image or
+    a color mismatch prunes the node.  So a full map commutes with the
+    right action S_b of each b in B, and B generates the source: from e in
+    a group, and through the inverse tables in a quandle.  In a group with
     f(e) = e this gives f(y b1 ... bk) = f(y) f(b1) ... f(bk).  In a
     quandle every z is w(b) for a word w in the S_b and their inverses, so
     S_z = w S_b w^-1 and f S_z = S_f(z) f.  Either way f is a homomorphism.
@@ -394,8 +394,11 @@ def _isomorphisms(ta, tb, ca, cb, fixed=()):
     """
     n = len(ca)
     ops = [(s.tolist(), t.tolist()) for s, t in zip(ta, tb)]
+    cols = [(s.T.tolist(), t.T.tolist()) for s, t in zip(ta, tb)]
+    ident = list(range(n))
 
     def extend(f, used, branch, queue):
+        # branch holds the column pairs (s[:, b], t[:, f(b)]) of B
         while queue:
             x, u = queue.pop()
             if f[x] == u:
@@ -403,35 +406,39 @@ def _isomorphisms(ta, tb, ca, cb, fixed=()):
             if f[x] != -1 or used[u] or ca[x] != cb[u]:
                 return False
             f[x], used[u] = u, True
-            for b in branch:
-                for s, t in ops:
-                    y, v = s[x][b], t[u][f[b]]
-                    if f[y] == -1:
-                        queue.append((y, v))
-                    elif f[y] != v:
-                        return False
+            for sc, tc in branch:
+                y, v = sc[x], tc[u]
+                if f[y] == -1:
+                    queue.append((y, v))
+                elif f[y] != v:
+                    return False
         return True
 
-    def search(f, used, branch, x):
-        while x < n and f[x] != -1:
-            x += 1
-        if x == n:
-            yield f
-            return
-        # s[y][x] must map to t[f(y)][u]; the rows t[f(y)] do not depend on u
-        rows = [(s[y][x], t[f[y]]) for y in range(n) if f[y] != -1
+    def search(f, used, branch, x, k):
+        if k < len(fixed):               # a fixed pair branches on one image
+            y, u = fixed[k]
+            images = [u]
+        else:
+            while x < n and f[x] != -1:
+                x += 1
+            if x == n:
+                yield f
+                return
+            y, images = x, [u for u in range(n) if not used[u] and cb[u] == ca[x]]
+        # s[z][y] must map to t[f(z)][u]; the rows t[f(z)] do not depend on u
+        rows = [(s[z][y], t[f[z]]) for z in range(n) if f[z] != -1
                 for s, t in ops]
-        for u in range(n):
-            if not used[u] and cb[u] == ca[x]:
-                f2, used2, branch2 = f.copy(), used.copy(), branch + [x]
-                # (x, u) last, so it is popped and mapped first
-                queue = [(y, row[u]) for y, row in rows] + [(x, u)]
-                if extend(f2, used2, branch2, queue):
-                    yield from search(f2, used2, branch2, x + 1)
+        for u in images:
+            f2, used2 = f.copy(), used.copy()
+            # two identity columns (e in a group) constrain nothing
+            branch2 = branch + [(sc[y], tc[u]) for sc, tc in cols
+                                if sc[y] != ident or tc[u] != ident]
+            # (y, u) last, so it is popped and mapped first
+            queue = [(z, row[u]) for z, row in rows] + [(y, u)]
+            if extend(f2, used2, branch2, queue):
+                yield from search(f2, used2, branch2, x, k + 1)
 
-    f, used = [-1] * n, [False] * n
-    if extend(f, used, [], list(fixed)):
-        yield from search(f, used, [], 0)
+    yield from search([-1] * n, [False] * n, [], 0, 0)
 
 
 def automorphisms(g: FiniteGroup):

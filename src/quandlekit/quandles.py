@@ -234,16 +234,36 @@ def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     pa, pb = invariant_profile(a), invariant_profile(b)
     if sorted(pa) != sorted(pb):
         return None
-    return _first_isomorphism(a, b, pa, pb)
-
-
-def _first_isomorphism(a, b, pa, pb):
-    """isomorphic(a, b), given invariant profiles equal as multisets."""
     f = next(_isomorphisms((a.table, a.inv_table), (b.table, b.inv_table),
                            pa, pb), None)
     if f is None or not is_homomorphism(f, a, b):     # full recheck
         return None
     return f
+
+
+def _orbit_leaders(q: FiniteQuandle):
+    """Least element of each Inn(q)-orbit, ascending: labels take their
+    minimum along z -> z <| y until stable (z <| z = z keeps a label's own
+    value in the minimum).  Each edge lies on a cycle of its column S_y,
+    so the stable labels are constant on orbits."""
+    lab = np.arange(q.order)
+    while True:
+        new = lab[q.table].min(axis=1)
+        if np.array_equal(new, lab):
+            return np.flatnonzero(lab == np.arange(q.order)).tolist()
+        lab = new
+
+
+def _any_isomorphism(a, b, pa, pb, leaders):
+    """Some isomorphism a -> b as a map list, or None, given invariant
+    profiles equal as multisets and b's `_orbit_leaders`.  If f is one, so
+    is S_y f for each column S_y of b, so some isomorphism sends 0 to a
+    leader: one search per leader with the profile of 0, f(0) pinned.  The
+    first map found gets the full recheck."""
+    tables = (a.table, a.inv_table), (b.table, b.inv_table)
+    f = next((f for u in leaders if pb[u] == pa[0]
+              for f in _isomorphisms(*tables, pa, pb, [(0, u)])), None)
+    return f if f is not None and is_homomorphism(f, a, b) else None
 
 
 def relabel(q: FiniteQuandle, perm):

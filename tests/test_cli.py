@@ -348,9 +348,13 @@ class TestCensusAndCatalog:
     @pytest.mark.parametrize("argv, digest", [
         (("--max-order", "16", "--dedup"),
          "fa6dfe288029f53f21b88a0439c74a5ee24789e95483210fdd7843425790f1df"),
+        (("--max-order", "24", "--dedup"),
+         "73b771f830f267d5860b4bb17ea292138890ffab62d53ced66c0719cb5849935"),
+        (("--max-order", "32", "--dedup"),
+         "a0bc8a75d1dddb62cc233e7942adb774e9bcc837fe1349df07efa907ca58b8f9"),
         (("--max-order", "48"),
          "ca8be30d5d8a772f2b110d50b073237c651ab5aa98a00bd70c106b94b7ac96f0"),
-    ], ids=["dedup16", "raw48"])
+    ], ids=["dedup16", "dedup24", "dedup32", "raw48"])
     def test_census_output_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "census", *argv)
         assert (code, err) == (0, "")

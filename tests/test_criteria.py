@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from collections import defaultdict
 
 import pytest
 
@@ -18,14 +19,19 @@ from quandlekit.errors import OrderTooLarge
 from quandlekit.groups import (
     automorphisms,
     catalog,
+    census_catalog,
     normal_subgroups,
     parse_group_spec,
 )
 from quandlekit.quandles import (
+    _any_isomorphism,
+    _orbit_leaders,
     conj_quandle,
     dihedral_quandle,
     galex,
     hopf_extension,
+    invariant_profile,
+    is_homomorphism,
     isomorphic,
     trivial_quandle,
 )
@@ -182,6 +188,28 @@ class TestCensus:
             for r in ref_r]
         assert all(a.same_table(b) for a, b in zip(quandles, ref_q))
         assert len(quandles) == len(ref_q)
+
+    def test_existence_search_agrees_with_isomorphic(self):
+        # every pair of Aut(G)-class leaders of census_galex(16) that share
+        # an invariant bucket, in the order the dedup compares them
+        buckets = defaultdict(list)
+        for g in census_catalog(16):
+            auts = automorphisms(g)
+            for c, (li, _) in enumerate(criteria._aut_class_leaders(auts)):
+                if li == c:
+                    q = galex(g, auts[c])
+                    p = invariant_profile(q)
+                    buckets[(q.order, tuple(sorted(p)))].append((q, p))
+        outcomes = set()
+        for bucket in buckets.values():
+            for (a, pa), (b, pb) in itertools.combinations(bucket, 2):
+                f = _any_isomorphism(a, b, pa, pb, _orbit_leaders(b))
+                assert (f is None) == (isomorphic(a, b) is None), (a.label, b.label)
+                if f is not None:
+                    assert sorted(f) == list(range(a.order))
+                    assert is_homomorphism(f, a, b)
+                outcomes.add(f is None)
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("spec, classes", [
         ("quaternion8", 5),                     # Aut = S4

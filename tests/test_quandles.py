@@ -667,6 +667,111 @@ class TestIsomorphic:
             assert isomorphic(a, b) == first
 
 
+def _orbit_leaders_loop(q):
+    """Reference for `_orbit_leaders`: the least element of each orbit,
+    found by a search along z -> z <| y from each unseen element."""
+    seen, leaders = set(), []
+    for z in range(q.order):
+        if z in seen:
+            continue
+        leaders.append(z)
+        seen.add(z)
+        stack = [z]
+        while stack:
+            w = stack.pop()
+            for v in q.table[w].tolist():
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return leaders
+
+
+def _isomorphisms_brute(a, b):
+    """Every isomorphism a -> b, in lexicographic order."""
+    return [p for p in itertools.permutations(range(a.order))
+            if relabel(a, list(p)).same_table(b)]
+
+
+def _point_over_trivial4():
+    """Order 5: trivial(4) on 1..4 plus the point 0, which every element
+    fixes and which acts on 1..4 by swapping 1 and 2.  The subquandle
+    generated by 1..4 leaves 0 out, so a search that pins f(0) and
+    branches on 1..4 never sees S_0."""
+    t = np.tile(np.arange(5)[:, None], (1, 5))
+    t[1:, 0] = [2, 1, 3, 4]
+    q = validate_quandle(t)
+    assert subquandle_closure(q, {1, 2, 3, 4}) == {1, 2, 3, 4}
+    return q
+
+
+class TestOrbitLeaders:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_families(self, n):
+        assert quandles._orbit_leaders(trivial_quandle(n)) == list(range(n))
+        assert quandles._orbit_leaders(dihedral_quandle(n)) == [0, 1][:2 - n % 2]
+
+    def test_matches_search(self, random_quandles, catalog16):
+        pool = list(random_quandles) + [_point_over_trivial4()]
+        pool += [hopf_extension(g, n) for g in catalog16 if g.order <= 8
+                 for n in normal_subgroups(g)]
+        pool += [galex(g, s) for g in catalog16 for s in automorphisms(g)[:3]]
+        counts = set()
+        for q in pool:
+            leaders = quandles._orbit_leaders(q)
+            assert leaders == _orbit_leaders_loop(q), q.label
+            counts.add(len(leaders))
+        assert len(counts) > 3
+
+
+class TestPinnedSearch:
+    """`groups._isomorphisms` with a fixed pair, and the dedup's
+    existence search built on it, against permutation brute force."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, random_quandles):
+        rng = np.random.default_rng(20261020)
+        pool = [q for q in random_quandles if q.order <= 5][:12]
+        pool += [trivial_quandle(4), dihedral_quandle(4), _point_over_trivial4()]
+        pool += [relabel(q, rng.permutation(q.order)) for q in pool]
+        return [(a, b, _isomorphisms_brute(a, b))
+                for a in pool for b in pool if a.order == b.order]
+
+    def test_fixed_pair_yields_the_pinned_isomorphisms(self, pairs):
+        pinned = 0
+        for a, b, brute in pairs:
+            colors = [0] * a.order    # no pruning by color
+            for x0, u in itertools.product(range(a.order), repeat=2):
+                got = [tuple(f) for f in quandles._isomorphisms(
+                    (a.table, a.inv_table), (b.table, b.inv_table),
+                    colors, colors, [(x0, u)])]
+                assert got == [p for p in brute if p[x0] == u]
+                pinned += bool(got)
+        assert pinned > 100
+
+    def test_point_outside_the_branch_subquandle(self):
+        q = _point_over_trivial4()
+        maps = [tuple(f) for f in quandles._isomorphisms(
+            (q.table, q.inv_table), (q.table, q.inv_table), [0] * 5, [0] * 5,
+            [(0, 0)])]
+        # the centralizer of the swap (1 2) in Sym({1, 2, 3, 4})
+        assert maps == [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3),
+                        (0, 2, 1, 3, 4), (0, 2, 1, 4, 3)]
+
+    def test_any_isomorphism_matches_brute_force(self, pairs):
+        found = 0
+        for a, b, brute in pairs:
+            pa, pb = quandles.invariant_profile(a), quandles.invariant_profile(b)
+            if sorted(pa) != sorted(pb):
+                assert brute == []
+                continue
+            f = quandles._any_isomorphism(a, b, pa, pb, quandles._orbit_leaders(b))
+            assert (f is None) == (brute == [])
+            if f is not None:
+                assert tuple(f) in brute
+                found += 1
+        assert found > 50
+
+
 class TestConstructorsValidate:
     """Independent oracle for the constructors that skip the axiom check:
     the full validator, run on a fresh copy of each output, agrees."""
