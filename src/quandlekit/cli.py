@@ -13,6 +13,7 @@ import sys
 
 from . import criteria, groups, quandles, tangles
 from .errors import (
+    FileFormatError,
     GroupValidationError,
     OrderTooLarge,
     QuandleKitError,
@@ -25,17 +26,20 @@ EX_SOFTWARE = 70
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as f:
-        return f.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})")
 
 
 def _write(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -465,7 +466,12 @@ def _parse_table_file(text, kind):
     """Table format shared by groups and quandles: line 1 `<kind> <n>`,
     then n rows of n integers.  `#` starts a comment.  Returns the rows as
     an int64 array; the caller validates the axioms.  Raises OrderTooLarge
-    past MAX_TABLE_ORDER before reading any row."""
+    past MAX_TABLE_ORDER before reading any row.
+
+    Entries are read by numpy's C text reader.  Rows it rejects, warns on
+    or reads to the wrong shape are read again one by one with int(): only
+    int() takes underscores and non-ASCII digits, and only the row loop
+    names the first bad row and tells overflow from a non-integer."""
     lines = [ln for ln in (raw.split("#")[0].strip() for raw in text.splitlines())
              if ln]
     if not lines:
@@ -481,6 +487,16 @@ def _parse_table_file(text, kind):
         raise OrderTooLarge(f"{kind} order {n} exceeds bound {MAX_TABLE_ORDER}")
     if len(lines) != n + 1:
         raise FileFormatError(f"expected {n} table rows, got {len(lines) - 1}")
+    try:
+        # the list of lines, not one joined string, which would copy the
+        # text; with no rows (`quandle 0`) loadtxt warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+        if table.shape == (n, n):
+            return table
+    except (ValueError, Warning):
+        pass
     table = np.empty((n, n), dtype=np.int64)
     for i, ln in enumerate(lines[1:]):
         try:

@@ -104,6 +104,27 @@ class TestValidate:
         p.write_text(text)
         assert run(capsys, "validate", "quandle", str(p)) == (65, "", err + "\n")
 
+    @pytest.mark.parametrize("data, argv", [
+        (b"quandle 2\n0 0\n1 \xff\n", ["validate", "quandle"]),
+        (b"group 2\n0 1\n1 \xff\n", ["validate", "group"]),
+        (b"arcs 3\nstart 0\nend 2\n\xff\n",
+         ["color", "--quandle", "{r3}", "--count", "--tangle"]),
+    ])
+    def test_non_utf8_file_is_65(self, capsys, tmp_path, r3_file, data, argv):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        code, out, err = run(capsys, *(a.format(r3=r3_file) for a in argv), str(p))
+        assert (code, out) == (65, "")
+        assert err.startswith(f"error: {p}: not UTF-8 text (")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_stdin_is_65(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"quandle 1\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "validate", "quandle", "-")
+        assert (code, out) == (65, "")
+        assert err.startswith("error: -: not UTF-8 text (")
+
     def test_missing_file_is_65(self, capsys):
         code, _, err = run(capsys, "validate", "quandle", "/nonexistent.qdl")
         assert code == 65

@@ -13,6 +13,7 @@ from quandlekit.errors import (
     AutomorphismMismatch,
     ClosureViolation,
     ColumnNotBijective,
+    FileFormatError,
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
@@ -24,6 +25,7 @@ from quandlekit.groups import (
     MAX_TABLE_ORDER,
     GroupAutomorphism,
     Subgroup,
+    _parse_table_file,
     automorphisms,
     catalog,
     census_catalog,
@@ -885,3 +887,63 @@ class TestQuandleFiles:
         # underscores and Unicode digits (U+0661 is ARABIC-INDIC DIGIT ONE)
         q = parse_quandle_file("quandle 2\n+0 0_0\n\u0661 01\n")
         assert q.same_table(trivial_quandle(2))
+
+    @staticmethod
+    def _rows_by_int(rows, n):
+        """The row loop alone: every token through int(), first bad row named."""
+        table = np.empty((n, n), dtype=np.int64)
+        for i, ln in enumerate(rows):
+            try:
+                row = np.array(ln.split(), dtype=np.int64)
+            except ValueError:
+                raise FileFormatError(f"non-integer entry in row: {ln!r}")
+            except OverflowError:
+                raise FileFormatError(f"entry outside the int64 range in row: {ln!r}")
+            if row.size != n:
+                raise FileFormatError(f"row has {row.size} entries, expected {n}")
+            table[i] = row
+        return table
+
+    def test_rows_match_int_oracle(self):
+        # tokens the C reader takes, tokens only int() takes (underscores,
+        # U+0661 and U+FF11 digits, values past int64) and tokens both
+        # reject ('.', 'e', NUL, stray signs); a few rows one entry off
+        rng = np.random.default_rng(13)
+        int_only = ["00", "0_0", "\u0661", "\uff11"]
+        pieces = [[], int_only, int_only + ["+", "-", "_", ".", "e", "\x00"]]
+        bounds = [2**63 - 1, 2**63, -2**63, -2**63 - 1]
+        seps = [" ", "  ", "\t", "\u00a0"]
+
+        def token(odd):
+            if rng.random() < 0.05:
+                return str(bounds[rng.integers(len(bounds))])
+            sign = ["", "+", "-"][rng.integers(3)]
+            digits = [str(d) for d in rng.integers(0, 10, rng.integers(1, 4))]
+            while odd and rng.random() < 0.15:
+                digits.insert(rng.integers(len(digits) + 1), odd[rng.integers(len(odd))])
+            return sign + "".join(digits)
+
+        outcomes = {"plain": 0, "int only": 0, "error": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, 5))
+            odd = pieces[rng.integers(len(pieces))]
+            rows = []
+            for _ in range(n):
+                k = n + int(rng.choice([-1, 1])) if rng.random() < 0.05 else n
+                seq = [token(odd) for _ in range(max(k, 1))]
+                ln = "".join(seps[rng.integers(len(seps))] + t for t in seq)
+                rows.append(ln.strip())
+            text = f"quandle {n}\n" + "\n".join(rows) + "\n"
+            try:
+                want = self._rows_by_int(rows, n)
+            except FileFormatError as exc:
+                with pytest.raises(FileFormatError) as got:
+                    _parse_table_file(text, "quandle")
+                assert str(got.value) == str(exc)
+                outcomes["error"] += 1
+                continue
+            got = _parse_table_file(text, "quandle")
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            by_int = any(not t.isascii() or "_" in t for t in text.split())
+            outcomes["int only" if by_int else "plain"] += 1
+        assert min(outcomes.values()) > 100, outcomes
