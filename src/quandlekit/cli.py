@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 
 from . import criteria, groups, quandles, tangles
@@ -28,7 +29,13 @@ EX_SOFTWARE = 70
 def _read(path):
     try:
         if path == "-":
-            return sys.stdin.read()
+            stream = sys.stdin
+            if hasattr(stream, "buffer"):
+                # sys.stdin may decode with surrogateescape (C locale), so
+                # its bytes are decoded strictly, as open() decodes a path
+                stream = io.TextIOWrapper(io.BytesIO(stream.buffer.read()),
+                                          encoding="utf-8")
+            return stream.read()
         with open(path, encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as exc:

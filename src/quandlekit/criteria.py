@@ -24,6 +24,7 @@ from .quandles import (
     FiniteQuandle,
     _any_isomorphism,
     _orbit_leaders,
+    _quandle_lists,
     galex,
     invariant_profile,
     is_homomorphism,
@@ -95,12 +96,19 @@ def census_galex(max_group_order, dedup=False):
     isomorphism, then scans witnesses and searches isomorphisms among the
     class leaders only.
 
+    Why one search per pair, with f(0) pinned to the identity e of G, finds
+    an isomorphism A -> B = GAlex(G, sigma) whenever one exists: the right
+    translation R_g(x) = x g is an automorphism of B, because
+    (x g) <| (y g) = sigma(x g g^-1 y^-1) y g = (x <| y) g.  If f is any
+    isomorphism A -> B, then so is R_h f with h = f(0)^-1, and it sends 0
+    to f(0) f(0)^-1 = e.
+
     Returns (records, quandles) aligned lists.
     """
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(
             f"census limited to group order {DEFAULT_MAX_ORDER}")
-    records, quandles = [], []
+    records, quandles, pins = [], [], []
     for grp in census_catalog(max_group_order):
         auts = automorphisms(grp)
         qs = [galex(grp, sigma) for sigma in auts]
@@ -126,10 +134,11 @@ def census_galex(max_group_order, dedup=False):
                 trefoil_admissible=trefoil_witness(q) is None,
             ))
             quandles.append(q)
+            pins.append([grp.identity])
     if dedup:
         # A non-leader is isomorphic to its earlier leader, so the first
         # record of every isomorphism class is a leader.
-        return dedup_by_isomorphism(records, quandles)
+        return dedup_by_isomorphism(records, quandles, _pins=pins)
     return records, quandles
 
 
@@ -152,22 +161,37 @@ def _aut_class_leaders(auts):
     return out
 
 
-def dedup_by_isomorphism(records, quandles):
+def dedup_by_isomorphism(records, quandles, _pins=None):
     """Keep the first record of each quandle isomorphism class.  Quandles
-    are bucketed by (order, invariant-profile multiset) before the
-    isomorphism search, which only asks whether a map exists."""
-    buckets = defaultdict(list)   # key -> [(kept quandle, its profile)]
-    kept_r, kept_q = [], []
-    for rec, q in zip(records, quandles):
-        prof = invariant_profile(q)
-        bucket = buckets[(q.order, tuple(sorted(prof)))]
-        leaders = _orbit_leaders(q) if bucket else []
-        if all(_any_isomorphism(k, q, pk, prof, leaders) is None
-               for k, pk in bucket):
-            bucket.append((q, prof))
-            kept_r.append(rec)
-            kept_q.append(q)
-    return kept_r, kept_q
+    of one order at a time are bucketed by invariant-profile multiset
+    before the isomorphism search, which only asks whether a map exists;
+    only that order's kept quandles hold their search lists.
+
+    If f: A -> B is an isomorphism, so is S_y f for each column S_y of B,
+    so some isomorphism sends 0 to the least element of an Inn(B)-orbit:
+    one search per `_orbit_leaders` element, f(0) pinned to it.  `_pins`,
+    aligned with quandles, gives instead for each B a list of images of 0
+    that is complete in the same sense (`census_galex` passes one).
+    """
+    by_order = defaultdict(list)
+    for i, q in enumerate(quandles):
+        by_order[q.order].append(i)
+    keep = []
+    for indices in by_order.values():
+        buckets = defaultdict(list)   # profiles -> [(kept quandle, profile, lists)]
+        for i in indices:
+            q = quandles[i]
+            prof = invariant_profile(q)
+            bucket = buckets[tuple(sorted(prof))]
+            lists = _quandle_lists(q)
+            images = (_pins[i] if _pins is not None
+                      else _orbit_leaders(q) if bucket else [])
+            if all(_any_isomorphism(k, q, pk, prof, images, lk, lists) is None
+                   for k, pk, lk in bucket):
+                bucket.append((q, prof, lists))
+                keep.append(i)
+    keep.sort()
+    return [records[i] for i in keep], [quandles[i] for i in keep]
 
 
 CENSUS_FIELDS = ("group_name", "group_order", "automorphism_index",

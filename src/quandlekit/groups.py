@@ -376,10 +376,24 @@ def subgroup_from_elements(g: FiniteGroup, elements):
 MAX_AUTOMORPHISMS = 10**5
 
 
+def _search_lists(tables):
+    """Rows and columns of each table as nested lists, the form that
+    `_list_isomorphisms` searches.  A caller that searches one table many
+    times converts it once."""
+    return [(t.tolist(), t.T.tolist()) for t in tables]
+
+
 def _isomorphisms(ta, tb, ca, cb, fixed=()):
+    """`_list_isomorphisms` over the tables in ta and tb."""
+    return _list_isomorphisms(_search_lists(ta), _search_lists(tb),
+                              ca, cb, fixed)
+
+
+def _list_isomorphisms(la, lb, ca, cb, fixed=()):
     """Every bijection f with f(x) = u for each (x, u) in fixed, colors
     ca[x] == cb[f(x)], and f(s[x, y]) = t[f(x), f(y)] for each table pair
-    (s, t) of ta and tb, in lexicographic order of the map.
+    (s, t) of la and lb, given as `_search_lists`, in lexicographic order of
+    the map.
 
     The fixed elements, in order, and then the least unmapped x, images
     ascending, join the branch elements B.  Propagation maps s[y, b] to
@@ -394,8 +408,8 @@ def _isomorphisms(ta, tb, ca, cb, fixed=()):
     images hold ascending maps.
     """
     n = len(ca)
-    ops = [(s.tolist(), t.tolist()) for s, t in zip(ta, tb)]
-    cols = [(s.T.tolist(), t.T.tolist()) for s, t in zip(ta, tb)]
+    ops = [(s, t) for (s, _), (t, _) in zip(la, lb)]
+    cols = [(sc, tc) for (_, sc), (_, tc) in zip(la, lb)]
     ident = list(range(n))
 
     def extend(f, used, branch, queue):
@@ -446,9 +460,10 @@ def automorphisms(g: FiniteGroup):
     """The full automorphism group, sorted lexicographically by map.
     Raises OrderTooLarge past MAX_AUTOMORPHISMS maps."""
     orders = g.element_orders()
+    lists = _search_lists((g.table,))
     out = []
-    for m in _isomorphisms((g.table,), (g.table,), orders, orders,
-                           [(g.identity, g.identity)]):
+    for m in _list_isomorphisms(lists, lists, orders, orders,
+                                [(g.identity, g.identity)]):
         if len(out) == MAX_AUTOMORPHISMS:
             raise OrderTooLarge(
                 f"{g.name} has more than {MAX_AUTOMORPHISMS} automorphisms")

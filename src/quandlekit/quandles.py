@@ -28,7 +28,9 @@ from .groups import (
     _first_repeat,
     _format_table_file,
     _isomorphisms,
+    _list_isomorphisms,
     _parse_table_file,
+    _search_lists,
     _square_table,
 )
 
@@ -254,15 +256,23 @@ def _orbit_leaders(q: FiniteQuandle):
         lab = new
 
 
-def _any_isomorphism(a, b, pa, pb, leaders):
+def _quandle_lists(q: FiniteQuandle):
+    """q's table and inverse table in the form `_any_isomorphism` searches."""
+    return _search_lists((q.table, q.inv_table))
+
+
+def _any_isomorphism(a, b, pa, pb, images, la=None, lb=None):
     """Some isomorphism a -> b as a map list, or None, given invariant
-    profiles equal as multisets and b's `_orbit_leaders`.  If f is one, so
-    is S_y f for each column S_y of b, so some isomorphism sends 0 to a
-    leader: one search per leader with the profile of 0, f(0) pinned.  The
-    first map found gets the full recheck."""
-    tables = (a.table, a.inv_table), (b.table, b.inv_table)
-    f = next((f for u in leaders if pb[u] == pa[0]
-              for f in _isomorphisms(*tables, pa, pb, [(0, u)])), None)
+    profiles equal as multisets and images, elements of b such that some
+    isomorphism sends 0 into images if any exists (b's `_orbit_leaders`
+    are such a list, see `dedup_by_isomorphism`).  One search per image
+    with the profile of 0, f(0) pinned; la and lb are the `_quandle_lists`
+    of a and b, converted here unless the caller holds them.  The first map
+    found gets the full recheck."""
+    la = _quandle_lists(a) if la is None else la
+    lb = _quandle_lists(b) if lb is None else lb
+    f = next((f for u in images if pb[u] == pa[0]
+              for f in _list_isomorphisms(la, lb, pa, pb, [(0, u)])), None)
     return f if f is not None and is_homomorphism(f, a, b) else None
 
 

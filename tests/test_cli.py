@@ -125,6 +125,21 @@ class TestValidate:
         assert (code, out) == (65, "")
         assert err.startswith("error: -: not UTF-8 text (")
 
+    def test_surrogateescape_stdin_fails_as_the_file_does(self, capsys,
+                                                          monkeypatch, tmp_path):
+        # the C locale gives sys.stdin errors="surrogateescape", which
+        # passes bad bytes through; "-" must still reject them
+        data = b"quandle 1\n0 # \xff\n"
+        p = tmp_path / "bad.qdl"
+        p.write_bytes(data)
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                 errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "validate", "quandle", "-")
+        assert (code, out) == (65, "")
+        assert run(capsys, "validate", "quandle", str(p)) == (
+            65, "", err.replace("error: -:", f"error: {p}:", 1))
+
     def test_missing_file_is_65(self, capsys):
         code, _, err = run(capsys, "validate", "quandle", "/nonexistent.qdl")
         assert code == 65
@@ -373,9 +388,11 @@ class TestCensusAndCatalog:
          "73b771f830f267d5860b4bb17ea292138890ffab62d53ced66c0719cb5849935"),
         (("--max-order", "32", "--dedup"),
          "a0bc8a75d1dddb62cc233e7942adb774e9bcc837fe1349df07efa907ca58b8f9"),
+        (("--max-order", "48", "--dedup"),
+         "6dbb2d30e920021c0821be0f6f63b4ecb94cddb9187e2a174f7c541a7e67e8d5"),
         (("--max-order", "48"),
          "ca8be30d5d8a772f2b110d50b073237c651ab5aa98a00bd70c106b94b7ac96f0"),
-    ], ids=["dedup16", "dedup24", "dedup32", "raw48"])
+    ], ids=["dedup16", "dedup24", "dedup32", "dedup48", "raw48"])
     def test_census_output_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "census", *argv)
         assert (code, err) == (0, "")

@@ -33,6 +33,7 @@ from quandlekit.quandles import (
     invariant_profile,
     is_homomorphism,
     isomorphic,
+    relabel,
     trivial_quandle,
 )
 
@@ -210,6 +211,59 @@ class TestCensus:
                     assert is_homomorphism(f, a, b)
                 outcomes.add(f is None)
         assert outcomes == {False, True}
+
+    def test_right_translations_are_automorphisms(self):
+        # the premise of the census's pin: x -> x g maps GAlex(G, sigma)
+        # onto itself, for every raw record and every g in G
+        groups = {g.name: g for g in census_catalog(16)}
+        records, quandles = census_galex(16)
+        assert len(records) == 784
+        for r, q in zip(records, quandles):
+            table = groups[r.group_name].table
+            for g in range(q.order):
+                assert is_homomorphism(table[:, g], q, q), (q.label, g)
+
+    def test_identity_pinned_search_agrees_with_isomorphic(self, monkeypatch):
+        # the pins census_galex hands to the dedup are {e}, and over the
+        # bucket pairs of test_existence_search_agrees_with_isomorphic the
+        # search pinned there finds a map exactly when isomorphic() does
+        seen = {}
+
+        def capture(records, quandles, _pins=None):
+            seen.update(records=records, quandles=quandles, pins=_pins)
+            return records, quandles
+
+        monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
+        census_galex(16, dedup=True)
+        identity = {g.name: g.identity for g in census_catalog(16)}
+        buckets = defaultdict(list)
+        for r, q, pin in zip(seen["records"], seen["quandles"], seen["pins"]):
+            assert pin == [identity[r.group_name]], q.label
+            p = invariant_profile(q)
+            buckets[(q.order, tuple(sorted(p)))].append((q, p, pin))
+        assert len(seen["quandles"]) == 198
+        outcomes = set()
+        for bucket in buckets.values():
+            for (a, pa, _), (b, pb, pin) in itertools.combinations(bucket, 2):
+                f = _any_isomorphism(a, b, pa, pb, pin)
+                assert (f is None) == (isomorphic(a, b) is None), (a.label, b.label)
+                if f is not None:
+                    assert f[0] == pin[0]
+                    assert sorted(f) == list(range(a.order))
+                    assert is_homomorphism(f, a, b)
+                outcomes.add(f is None)
+        assert outcomes == {False, True}
+
+    def test_dedup_without_pins_searches_every_orbit(self):
+        # in Conj(S3) the identity 0 is an Inn-orbit of its own, so an
+        # isomorphism onto a relabeling must send 0 where that puts it;
+        # the input is not sorted by order
+        q = conj_quandle(catalog("symmetric", 3))
+        pool = [q, trivial_quandle(3), relabel(q, [5, 1, 2, 3, 4, 0]),
+                relabel(trivial_quandle(3), [2, 0, 1]), dihedral_quandle(3)]
+        kept_r, kept_q = dedup_by_isomorphism(list(range(5)), pool)
+        assert kept_r == [0, 1, 4]
+        assert kept_q == [pool[0], pool[1], pool[4]]
 
     @pytest.mark.parametrize("spec, classes", [
         ("quaternion8", 5),                     # Aut = S4
