@@ -18,13 +18,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import OrderTooLarge
-from .groups import DEFAULT_MAX_ORDER, automorphisms, census_catalog
+from .groups import DEFAULT_MAX_ORDER, _search_lists, automorphisms, census_catalog
 from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
     _any_isomorphism,
-    _orbit_leaders,
-    _quandle_lists,
     galex,
     invariant_profile,
     is_homomorphism,
@@ -138,7 +136,7 @@ def census_galex(max_group_order, dedup=False):
     if dedup:
         # A non-leader is isomorphic to its earlier leader, so the first
         # record of every isomorphism class is a leader.
-        return dedup_by_isomorphism(records, quandles, _pins=pins)
+        return dedup_by_isomorphism(records, quandles, pins)
     return records, quandles
 
 
@@ -161,17 +159,16 @@ def _aut_class_leaders(auts):
     return out
 
 
-def dedup_by_isomorphism(records, quandles, _pins=None):
+def dedup_by_isomorphism(records, quandles, pins):
     """Keep the first record of each quandle isomorphism class.  Quandles
     of one order at a time are bucketed by invariant-profile multiset
     before the isomorphism search, which only asks whether a map exists;
     only that order's kept quandles hold their search lists.
 
-    If f: A -> B is an isomorphism, so is S_y f for each column S_y of B,
-    so some isomorphism sends 0 to the least element of an Inn(B)-orbit:
-    one search per `_orbit_leaders` element, f(0) pinned to it.  `_pins`,
-    aligned with quandles, gives instead for each B a list of images of 0
-    that is complete in the same sense (`census_galex` passes one).
+    pins, aligned with quandles, gives for each B the images of 0 to try,
+    a list such that some isomorphism A -> B sends 0 into it whenever one
+    exists.  A list of every element of B always is one; `census_galex`
+    passes the group identity alone.
     """
     by_order = defaultdict(list)
     for i, q in enumerate(quandles):
@@ -183,10 +180,8 @@ def dedup_by_isomorphism(records, quandles, _pins=None):
             q = quandles[i]
             prof = invariant_profile(q)
             bucket = buckets[tuple(sorted(prof))]
-            lists = _quandle_lists(q)
-            images = (_pins[i] if _pins is not None
-                      else _orbit_leaders(q) if bucket else [])
-            if all(_any_isomorphism(k, q, pk, prof, images, lk, lists) is None
+            lists = _search_lists((q.table, q.inv_table))
+            if all(_any_isomorphism(k, q, pk, prof, pins[i], lk, lists) is None
                    for k, pk, lk in bucket):
                 bucket.append((q, prof, lists))
                 keep.append(i)

@@ -383,28 +383,23 @@ def _search_lists(tables):
     return [(t.tolist(), t.T.tolist()) for t in tables]
 
 
-def _isomorphisms(ta, tb, ca, cb, fixed=()):
-    """`_list_isomorphisms` over the tables in ta and tb."""
-    return _list_isomorphisms(_search_lists(ta), _search_lists(tb),
-                              ca, cb, fixed)
+def _list_isomorphisms(la, lb, ca, cb, x0, images):
+    """Every bijection f with f(x0) in images, colors ca[x] == cb[f(x)], and
+    f(s[x, y]) = t[f(x), f(y)] for each table pair (s, t) of la and lb,
+    given as `_search_lists`: first the maps with f(x0) = images[0], then
+    those with f(x0) = images[1], and so on, each run in lexicographic
+    order of the map.
 
-
-def _list_isomorphisms(la, lb, ca, cb, fixed=()):
-    """Every bijection f with f(x) = u for each (x, u) in fixed, colors
-    ca[x] == cb[f(x)], and f(s[x, y]) = t[f(x), f(y)] for each table pair
-    (s, t) of la and lb, given as `_search_lists`, in lexicographic order of
-    the map.
-
-    The fixed elements, in order, and then the least unmapped x, images
-    ascending, join the branch elements B.  Propagation maps s[y, b] to
-    t[f(y), f(b)] for every mapped y and b in B; a clash, a reused image or
-    a color mismatch prunes the node.  So a full map commutes with the
-    right action S_b of each b in B, and B generates the source: from e in
-    a group, and through the inverse tables in a quandle.  In a group with
-    f(e) = e this gives f(y b1 ... bk) = f(y) f(b1) ... f(bk).  In a
-    quandle every z is w(b) for a word w in the S_b and their inverses, so
-    S_z = w S_b w^-1 and f S_z = S_f(z) f.  Either way f is a homomorphism.
-    Positions below the branch point are fixed, so subtrees of ascending
+    x0, and then the least unmapped x, images ascending, join the branch
+    elements B.  Propagation maps s[y, b] to t[f(y), f(b)] for every mapped
+    y and b in B; a clash, a reused image or a color mismatch prunes the
+    node.  So a full map commutes with the right action S_b of each b in B,
+    and B generates the source: from e in a group, and through the inverse
+    tables in a quandle.  In a group with f(e) = e this gives
+    f(y b1 ... bk) = f(y) f(b1) ... f(bk).  In a quandle every z is w(b)
+    for a word w in the S_b and their inverses, so S_z = w S_b w^-1 and
+    f S_z = S_f(z) f.  Either way f is a homomorphism.  Positions below
+    the branch point are fixed, and so is x0, so subtrees of ascending
     images hold ascending maps.
     """
     n = len(ca)
@@ -429,31 +424,27 @@ def _list_isomorphisms(la, lb, ca, cb, fixed=()):
                     return False
         return True
 
-    def search(f, used, branch, x, k):
-        if k < len(fixed):               # a fixed pair branches on one image
-            y, u = fixed[k]
-            images = [u]
-        else:
-            while x < n and f[x] != -1:
-                x += 1
-            if x == n:
-                yield f
-                return
-            y, images = x, [u for u in range(n) if not used[u] and cb[u] == ca[x]]
+    def search(f, used, branch, y, images):
         # s[z][y] must map to t[f(z)][u]; the rows t[f(z)] do not depend on u
         rows = [(s[z][y], t[f[z]]) for z in range(n) if f[z] != -1
                 for s, t in ops]
         for u in images:
+            if used[u] or cb[u] != ca[y]:
+                continue
             f2, used2 = f.copy(), used.copy()
             # two identity columns (e in a group) constrain nothing
             branch2 = branch + [(sc[y], tc[u]) for sc, tc in cols
                                 if sc[y] != ident or tc[u] != ident]
             # (y, u) last, so it is popped and mapped first
             queue = [(z, row[u]) for z, row in rows] + [(y, u)]
-            if extend(f2, used2, branch2, queue):
-                yield from search(f2, used2, branch2, x, k + 1)
+            if not extend(f2, used2, branch2, queue):
+                continue
+            if -1 in f2:
+                yield from search(f2, used2, branch2, f2.index(-1), range(n))
+            else:
+                yield f2
 
-    yield from search([-1] * n, [False] * n, [], 0, 0)
+    yield from search([-1] * n, [False] * n, [], x0, images)
 
 
 def automorphisms(g: FiniteGroup):
@@ -463,7 +454,7 @@ def automorphisms(g: FiniteGroup):
     lists = _search_lists((g.table,))
     out = []
     for m in _list_isomorphisms(lists, lists, orders, orders,
-                                [(g.identity, g.identity)]):
+                                g.identity, [g.identity]):
         if len(out) == MAX_AUTOMORPHISMS:
             raise OrderTooLarge(
                 f"{g.name} has more than {MAX_AUTOMORPHISMS} automorphisms")
@@ -498,13 +489,14 @@ def _parse_table_file(text, kind):
         n = int(head[1])
     except ValueError:
         raise FileFormatError(f"first line must be '{kind} <n>'")
+    if n < 1:
+        raise FileFormatError("table must be a nonempty square matrix")
     if n > MAX_TABLE_ORDER:
         raise OrderTooLarge(f"{kind} order {n} exceeds bound {MAX_TABLE_ORDER}")
     if len(lines) != n + 1:
         raise FileFormatError(f"expected {n} table rows, got {len(lines) - 1}")
     try:
-        # the list of lines, not one joined string, which would copy the
-        # text; with no rows (`quandle 0`) loadtxt warns
+        # the list of lines, not one joined string, which would copy the text
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)

@@ -27,7 +27,6 @@ from .groups import (
     _closure,
     _first_repeat,
     _format_table_file,
-    _isomorphisms,
     _list_isomorphisms,
     _parse_table_file,
     _search_lists,
@@ -236,43 +235,20 @@ def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     pa, pb = invariant_profile(a), invariant_profile(b)
     if sorted(pa) != sorted(pb):
         return None
-    f = next(_isomorphisms((a.table, a.inv_table), (b.table, b.inv_table),
-                           pa, pb), None)
-    if f is None or not is_homomorphism(f, a, b):     # full recheck
-        return None
-    return f
-
-
-def _orbit_leaders(q: FiniteQuandle):
-    """Least element of each Inn(q)-orbit, ascending: labels take their
-    minimum along z -> z <| y until stable (z <| z = z keeps a label's own
-    value in the minimum).  Each edge lies on a cycle of its column S_y,
-    so the stable labels are constant on orbits."""
-    lab = np.arange(q.order)
-    while True:
-        new = lab[q.table].min(axis=1)
-        if np.array_equal(new, lab):
-            return np.flatnonzero(lab == np.arange(q.order)).tolist()
-        lab = new
-
-
-def _quandle_lists(q: FiniteQuandle):
-    """q's table and inverse table in the form `_any_isomorphism` searches."""
-    return _search_lists((q.table, q.inv_table))
+    return _any_isomorphism(a, b, pa, pb, range(b.order))
 
 
 def _any_isomorphism(a, b, pa, pb, images, la=None, lb=None):
-    """Some isomorphism a -> b as a map list, or None, given invariant
-    profiles equal as multisets and images, elements of b such that some
-    isomorphism sends 0 into images if any exists (b's `_orbit_leaders`
-    are such a list, see `dedup_by_isomorphism`).  One search per image
-    with the profile of 0, f(0) pinned; la and lb are the `_quandle_lists`
-    of a and b, converted here unless the caller holds them.  The first map
-    found gets the full recheck."""
-    la = _quandle_lists(a) if la is None else la
-    lb = _quandle_lists(b) if lb is None else lb
-    f = next((f for u in images if pb[u] == pa[0]
-              for f in _list_isomorphisms(la, lb, pa, pb, [(0, u)])), None)
+    """The first isomorphism a -> b with f(0) in images, in the order of
+    `_list_isomorphisms`, as a map list, or None, given invariant profiles
+    equal as multisets.  Every element of b is always a complete list of
+    images; a caller that knows a smaller one (see `census_galex`) passes
+    that.  la and lb are the `_search_lists` of the table and inverse table
+    of a and b, converted here unless the caller holds them.  The map found
+    gets the full recheck."""
+    la = _search_lists((a.table, a.inv_table)) if la is None else la
+    lb = _search_lists((b.table, b.inv_table)) if lb is None else lb
+    f = next(_list_isomorphisms(la, lb, pa, pb, 0, images), None)
     return f if f is not None and is_homomorphism(f, a, b) else None
 
 

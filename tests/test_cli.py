@@ -98,6 +98,7 @@ class TestValidate:
         ("quandle 2\n0 0\n1 99999999999999999999\n",
          "error: entry outside the int64 range in row: '1 99999999999999999999'"),
         ("quandle 1025\n", "error: quandle order 1025 exceeds bound 1024"),
+        ("quandle -1\n", "error: table must be a nonempty square matrix"),
     ])
     def test_unreadable_table_is_65(self, capsys, tmp_path, text, err):
         p = tmp_path / "bad.qdl"

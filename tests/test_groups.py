@@ -336,10 +336,23 @@ class TestAutomorphisms:
         assert len(built) == len(cat)
         assert all(any(b.same_table(g) for b in built) for g in cat)
 
-    @pytest.mark.parametrize("spec", CATALOG8)
-    def test_matches_full_permutation_search(self, spec):
+    @staticmethod
+    def identity_last(g):
+        """g relabeled by x -> n - 1 - x, so the identity is the last index."""
+        rev = np.arange(g.order)[::-1]
+        h = validate_group(rev[g.table[np.ix_(rev, rev)]])
+        assert h.identity == g.order - 1 != g.identity
+        return h
+
+    @pytest.mark.parametrize("spec, relabel", [
+        *(pytest.param(spec, False, id=spec) for spec in CATALOG8),
+        *(pytest.param(spec, True, id=f"{spec}-identity-last")
+          for spec in ("symmetric:3", "quaternion8"))])
+    def test_matches_full_permutation_search(self, spec, relabel):
         """Same list: itertools.permutations is in lexicographic order."""
         g = parse_group_spec(spec)
+        if relabel:
+            g = self.identity_last(g)
         n = g.order
         t = g.table
         brute = []
@@ -500,6 +513,7 @@ class TestGroupFiles:
     @pytest.mark.parametrize("text, message", [
         ("# nothing but a comment\n", "empty group file"),
         ("group two\n0 1\n1 0\n", "first line must be 'group <n>'"),
+        ("group -2\n", "nonempty square matrix"),
         ("group 2\n0 1\n", "expected 2 table rows, got 1"),
         ("group 2\n0 1\n1 x\n", "non-integer entry in row: '1 x'"),
         ("group 2\n0 1\n1\n", "row has 1 entries, expected 2"),

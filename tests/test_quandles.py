@@ -25,7 +25,9 @@ from quandlekit.groups import (
     MAX_TABLE_ORDER,
     GroupAutomorphism,
     Subgroup,
+    _list_isomorphisms,
     _parse_table_file,
+    _search_lists,
     automorphisms,
     catalog,
     census_catalog,
@@ -669,25 +671,6 @@ class TestIsomorphic:
             assert isomorphic(a, b) == first
 
 
-def _orbit_leaders_loop(q):
-    """Reference for `_orbit_leaders`: the least element of each orbit,
-    found by a search along z -> z <| y from each unseen element."""
-    seen, leaders = set(), []
-    for z in range(q.order):
-        if z in seen:
-            continue
-        leaders.append(z)
-        seen.add(z)
-        stack = [z]
-        while stack:
-            w = stack.pop()
-            for v in q.table[w].tolist():
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return leaders
-
-
 def _isomorphisms_brute(a, b):
     """Every isomorphism a -> b, in lexicographic order."""
     return [p for p in itertools.permutations(range(a.order))
@@ -706,28 +689,14 @@ def _point_over_trivial4():
     return q
 
 
-class TestOrbitLeaders:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_families(self, n):
-        assert quandles._orbit_leaders(trivial_quandle(n)) == list(range(n))
-        assert quandles._orbit_leaders(dihedral_quandle(n)) == [0, 1][:2 - n % 2]
-
-    def test_matches_search(self, random_quandles, catalog16):
-        pool = list(random_quandles) + [_point_over_trivial4()]
-        pool += [hopf_extension(g, n) for g in catalog16 if g.order <= 8
-                 for n in normal_subgroups(g)]
-        pool += [galex(g, s) for g in catalog16 for s in automorphisms(g)[:3]]
-        counts = set()
-        for q in pool:
-            leaders = quandles._orbit_leaders(q)
-            assert leaders == _orbit_leaders_loop(q), q.label
-            counts.add(len(leaders))
-        assert len(counts) > 3
-
-
 class TestPinnedSearch:
-    """`groups._isomorphisms` with a fixed pair, and the dedup's
-    existence search built on it, against permutation brute force."""
+    """`groups._list_isomorphisms` with a pinned element and its candidate
+    images, and the dedup's existence search built on it, against
+    permutation brute force."""
+
+    @staticmethod
+    def lists(q):
+        return _search_lists((q.table, q.inv_table))
 
     @pytest.fixture(scope="class")
     def pairs(self, random_quandles):
@@ -739,22 +708,30 @@ class TestPinnedSearch:
                 for a in pool for b in pool if a.order == b.order]
 
     def test_fixed_pair_yields_the_pinned_isomorphisms(self, pairs):
-        pinned = 0
+        pinned = both = 0
         for a, b, brute in pairs:
+            la, lb = self.lists(a), self.lists(b)
             colors = [0] * a.order    # no pruning by color
             for x0, u in itertools.product(range(a.order), repeat=2):
-                got = [tuple(f) for f in quandles._isomorphisms(
-                    (a.table, a.inv_table), (b.table, b.inv_table),
-                    colors, colors, [(x0, u)])]
-                assert got == [p for p in brute if p[x0] == u]
-                pinned += bool(got)
-        assert pinned > 100
+                run = [p for p in brute if p[x0] == u]
+                got = [tuple(f) for f in _list_isomorphisms(
+                    la, lb, colors, colors, x0, [u])]
+                assert got == run
+                pinned += bool(run)
+                if u > 0:
+                    # two candidates, descending: the f(x0) = u run comes first
+                    below = [p for p in brute if p[x0] == u - 1]
+                    got = [tuple(f) for f in _list_isomorphisms(
+                        la, lb, colors, colors, x0, [u, u - 1])]
+                    assert got == run + below
+                    both += bool(run and below)
+        assert pinned > 100 and both > 100
 
     def test_point_outside_the_branch_subquandle(self):
         q = _point_over_trivial4()
-        maps = [tuple(f) for f in quandles._isomorphisms(
-            (q.table, q.inv_table), (q.table, q.inv_table), [0] * 5, [0] * 5,
-            [(0, 0)])]
+        lq = self.lists(q)
+        maps = [tuple(f) for f in _list_isomorphisms(
+            lq, lq, [0] * 5, [0] * 5, 0, [0])]
         # the centralizer of the swap (1 2) in Sym({1, 2, 3, 4})
         assert maps == [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3),
                         (0, 2, 1, 3, 4), (0, 2, 1, 4, 3)]
@@ -766,10 +743,11 @@ class TestPinnedSearch:
             if sorted(pa) != sorted(pb):
                 assert brute == []
                 continue
-            f = quandles._any_isomorphism(a, b, pa, pb, quandles._orbit_leaders(b))
+            f = quandles._any_isomorphism(a, b, pa, pb, range(b.order))
             assert (f is None) == (brute == [])
             if f is not None:
-                assert tuple(f) in brute
+                # every element a candidate, ascending: the first map
+                assert tuple(f) == brute[0]
                 found += 1
         assert found > 50
 
@@ -864,6 +842,7 @@ class TestQuandleFiles:
 
     @pytest.mark.parametrize("text, message", [
         ("quandle 0\n", "nonempty square matrix"),
+        ("quandle -1\n", "nonempty square matrix"),
         ("quandle 2\n0 5\n1 1\n", "entries must lie in 0..1"),
         ("quandle 2\n0 0\n1 99999999999999999999\n",
          "entry outside the int64 range in row: '1 99999999999999999999'"),
