@@ -3,8 +3,11 @@
 Every position the package reports (a violation, a witness, a repeat) is
 the *first* one in row-major scan order: the order of nested loops over
 the index tuple, last index fastest.  `first_hit` is the one place that
-picks it, and the kernels return its None when there is no hit.
+picks it, with `first_hits` its form for a stack of masks, and the
+kernels return its None when there is no hit.
 """
+
+import math
 
 import numpy as np
 
@@ -19,6 +22,14 @@ def first_hit(mask):
     if not mask.flat[i]:
         return None
     return tuple(int(v) for v in np.unravel_index(i, mask.shape))
+
+
+def first_hits(masks):
+    """first_hit of each slice of a boolean stack, in one argmax."""
+    shape = masks.shape[1:]
+    flat = masks.reshape(len(masks), math.prod(shape))
+    return [tuple(int(v) for v in np.unravel_index(i, shape)) if flat[k, i] else None
+            for k, i in enumerate(flat.argmax(axis=1).tolist())]
 
 
 # Cube entries per x-slab of the n^3 scans (about 0.5 MB per int64 array).
@@ -76,17 +87,23 @@ def self_distrib_violation(table):
     return _first_cube_mismatch(table, (table * n)[:, None, :])
 
 
-def hopf_witness_scan(table):
-    """First (x, y) with x<|y == x and y<|x != y, else None."""
-    fixed = table == np.arange(table.shape[0])[:, None]     # x<|y == x
-    return first_hit(fixed & ~fixed.T)
+def hopf_witness_scan(tables):
+    """For each table of a (k, n, n) stack (an (n, n) table is a stack of
+    one), the first (x, y) with x<|y == x and y<|x != y, else None."""
+    n = tables.shape[-1]
+    fixed = tables.reshape(-1, n, n) == np.arange(n)[:, None]     # x<|y == x
+    return first_hits(fixed & ~fixed.transpose(0, 2, 1))
 
 
-def trefoil_witness_scan(table):
-    """First (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else None."""
-    ar = np.arange(table.shape[0])
-    cond = table[table, ar[:, None]] == ar[None, :]      # (x<|y)<|x == y
-    return first_hit(cond & ~cond.T)
+def trefoil_witness_scan(tables):
+    """For each table of a (k, n, n) stack (an (n, n) table is a stack of
+    one), the first (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else
+    None."""
+    n = tables.shape[-1]
+    t = tables.reshape(-1, n, n)
+    ar = np.arange(n)
+    cond = t[np.arange(len(t))[:, None, None], t, ar[:, None]] == ar   # (x<|y)<|x == y
+    return first_hits(cond & ~cond.transpose(0, 2, 1))
 
 
 def cycle_lengths(table):

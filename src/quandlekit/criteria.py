@@ -23,9 +23,11 @@ from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
     _any_isomorphism,
-    galex,
+    _galex_label,
+    _galex_tables,
+    _homomorphisms,
+    _quandles,
     invariant_profile,
-    is_homomorphism,
 )
 
 
@@ -59,14 +61,14 @@ class CensusRecord:
 def hopf_witness(q: FiniteQuandle):
     """First (x, y) in lexicographic order with x <| y = x, y <| x != y;
     None exactly when q is Hopf-link admissible."""
-    hit = _kernels.hopf_witness_scan(q.table)
+    hit, = _kernels.hopf_witness_scan(q.table[None])
     return None if hit is None else Witness(*hit, "hopf")
 
 
 def trefoil_witness(q: FiniteQuandle):
     """First (x, y) in lexicographic order with (x <| y) <| x = y and
     (y <| x) <| y != x; None exactly when q is trefoil admissible."""
-    hit = _kernels.trefoil_witness_scan(q.table)
+    hit, = _kernels.trefoil_witness_scan(q.table[None])
     return None if hit is None else Witness(*hit, "trefoil")
 
 
@@ -92,7 +94,8 @@ def census_galex(max_group_order, dedup=False):
     isomorphism class is kept (flagged as such).  Dedup first merges each
     Aut(G)-conjugacy class of automorphisms, checking the conjugator as the
     isomorphism, then scans witnesses and searches isomorphisms among the
-    class leaders only.
+    class leaders only.  Tables are built, checked and scanned as stacks
+    of about _kernels._SLAB entries (see `_galex_tables`).
 
     Why one search per pair, with f(0) pinned to the identity e of G, finds
     an isomorphism A -> B = GAlex(G, sigma) whenever one exists: the right
@@ -109,27 +112,35 @@ def census_galex(max_group_order, dedup=False):
     records, quandles, pins = [], [], []
     for grp in census_catalog(max_group_order):
         auts = automorphisms(grp)
-        qs = [galex(grp, sigma) for sigma in auts]
-        keep = range(len(auts))
-        if dedup:
-            keep = []
-            for c, (li, phi) in enumerate(_aut_class_leaders(auts)):
-                if li == c:
-                    keep.append(c)
-                elif not is_homomorphism(phi, qs[li], qs[c]):
-                    raise RuntimeError(
-                        f"conjugator does not map GAlex({grp.name}, aut {li}) "
-                        f"onto GAlex({grp.name}, aut {c})")
-        for ai in keep:
-            q = qs[ai]
+        leaders = (_aut_class_leaders(auts) if dedup
+                   else [(c, None) for c in range(len(auts))])
+        keep = [c for c, (li, _) in enumerate(leaders) if li == c]
+        labels = [_galex_label(grp, auts[c]) for c in keep]
+        qs, hits = [], []
+        for _, t in _galex_tables(grp, [auts[c] for c in keep]):
+            qs += _quandles(t, labels[len(qs):len(qs) + len(t)])
+            hits += zip(_kernels.hopf_witness_scan(t), _kernels.trefoil_witness_scan(t))
+        # the conjugator of each other automorphism, against its leader
+        rest = [c for c, (li, _) in enumerate(leaders) if li != c]
+        kept = dict(zip(keep, qs))
+        for a, t in _galex_tables(grp, [auts[c] for c in rest]):
+            cs = rest[a:a + len(t)]
+            ok = _homomorphisms(np.array([leaders[c][1] for c in cs]),
+                                np.array([kept[leaders[c][0]].table for c in cs]), t)
+            if not ok.all():
+                c = cs[int(np.argmin(ok))]
+                raise RuntimeError(
+                    f"conjugator does not map GAlex({grp.name}, aut {leaders[c][0]}) "
+                    f"onto GAlex({grp.name}, aut {c})")
+        for c, q, (hopf, trefoil) in zip(keep, qs, hits):
             records.append(CensusRecord(
                 group_name=grp.name,
                 group_order=grp.order,
-                automorphism_index=ai,
+                automorphism_index=c,
                 quandle_order=q.order,
                 isomorphism_class_representative=dedup,
-                hopf_admissible=hopf_witness(q) is None,
-                trefoil_admissible=trefoil_witness(q) is None,
+                hopf_admissible=hopf is None,
+                trefoil_admissible=trefoil is None,
             ))
             quandles.append(q)
             pins.append([grp.identity])
@@ -146,14 +157,16 @@ def _aut_class_leaders(auts):
     conjugacy class of sigma_c and phi in Aut(G) has phi sigma_l phi^-1 =
     sigma_c, so phi is an isomorphism GAlex(G, sigma_l) -> GAlex(G, sigma_c)."""
     index = {a.map: i for i, a in enumerate(auts)}
-    maps = [np.asarray(a.map, dtype=np.int64) for a in auts]
-    inverses = [np.argsort(m) for m in maps]
+    maps = np.array([a.map for a in auts], dtype=np.int64)
+    inverses = np.argsort(maps, axis=1)
     out = [None] * len(auts)
     for i, sigma in enumerate(maps):
         if out[i] is not None:
             continue
-        for phi, phi_inv in zip(maps, inverses):
-            c = index[tuple(phi[sigma[phi_inv]].tolist())]
+        # row j is phi_j sigma phi_j^-1
+        conj = np.take_along_axis(maps, sigma[inverses], axis=1)
+        for phi, row in zip(maps, conj.tolist()):
+            c = index[tuple(row)]
             if out[c] is None:
                 out[c] = (i, phi)
     return out

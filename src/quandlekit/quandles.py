@@ -75,18 +75,26 @@ def validate_quandle(table, label=""):
     return _quandle(t, label)
 
 
-def _quandle(t, label):
-    """Wrap an int64 table that is a quandle by construction: build the
-    inverse table and freeze both.  No axiom is checked; the constructors
-    below call this only where their algebra proves the axioms, and `t`
-    must be a fresh array that nothing else holds."""
-    n = t.shape[0]
+def _quandles(t, labels):
+    """Wrap a (k, n, n) int64 stack of tables that are quandles by
+    construction: build all inverse tables with one scatter, freeze both
+    stacks, and view slice i as the quandle labels[i].  No axiom is
+    checked; the constructors below call this only where their algebra
+    proves the axioms, and `t` must be a fresh array that nothing else
+    holds."""
+    n = t.shape[-1]
     ar = np.arange(n)
-    inv = np.empty((n, n), dtype=np.int64)
-    inv[t, ar[None, :]] = ar[:, None]
+    inv = np.empty(t.shape, dtype=np.int64)
+    inv[np.arange(len(t))[:, None, None], t, ar] = ar[:, None]
     t.setflags(write=False)
     inv.setflags(write=False)
-    return FiniteQuandle(order=n, table=t, inv_table=inv, label=label)
+    return [FiniteQuandle(order=n, table=a, inv_table=b, label=label)
+            for a, b, label in zip(t, inv, labels)]
+
+
+def _quandle(t, label):
+    """`_quandles` of one (n, n) table."""
+    return _quandles(t[None], [label])[0]
 
 
 def trivial_quandle(n):
@@ -111,22 +119,36 @@ def conj_quandle(g: FiniteGroup):
 
 
 def galex(g: FiniteGroup, sigma: GroupAutomorphism):
-    """Generalized Alexander quandle: x <| y = sigma(x y^-1) y.
-
-    GroupAutomorphism checks only that sigma is a bijection.  When sigma is
-    also a homomorphism (an O(n^2) check) the table is a quandle; otherwise
-    it gets the full check, which some such tables pass.
-    """
+    """Generalized Alexander quandle: x <| y = sigma(x y^-1) y."""
     if sigma.group is not g and not sigma.group.same_table(g):
         raise AutomorphismMismatch("automorphism is not over the given group")
-    m = g.table
-    smap = np.asarray(sigma.map, dtype=np.int64)
+    (_, t), = _galex_tables(g, [sigma])
+    return _quandles(t, [_galex_label(g, sigma)])[0]
+
+
+def _galex_label(g, sigma):
+    return f"GAlex({g.name},{''.join(map(str, sigma.map))})"
+
+
+def _galex_tables(g: FiniteGroup, auts):
+    """Yield (a, t) for consecutive chunks of the GroupAutomorphisms auts
+    of G, about _kernels._SLAB table entries each: t[i] is the table of
+    GAlex(G, auts[a + i]).  GroupAutomorphism checks only that sigma is a
+    bijection.  When sigma is also a homomorphism (an O(n^2) check,
+    batched per chunk) the table is a quandle; otherwise it gets the full
+    check, which some such tables pass and which raises at the first that
+    does not."""
+    m, n = g.table, g.order
     u = m[:, g.inverse]                        # u[x, y] = x * inv(y)
-    t = m[smap[u], np.arange(g.order)[None, :]]
-    label = f"GAlex({g.name},{''.join(map(str, sigma.map))})"
-    if np.array_equal(smap[m], m[smap[:, None], smap[None, :]]):
-        return _quandle(t, label)
-    return validate_quandle(t, label)
+    maps = np.array([a.map for a in auts], dtype=np.int64)
+    step = max(1, _kernels._SLAB // (n * n))
+    for a in range(0, len(maps), step):
+        s = maps[a:a + step]
+        # t[i, x, y] = m[s_i(x y^-1), y], at flat index s_i(u[x, y]) n + y
+        t = np.take(m, np.take(s, u, axis=1) * n + np.arange(n))
+        for i in np.flatnonzero(~_homomorphisms(s, m, m)):
+            validate_quandle(t[i])
+        yield a, t
 
 
 def hopf_extension(g: FiniteGroup, n: Subgroup):
@@ -213,7 +235,19 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
     fm = np.asarray(f, dtype=np.int64)
     if fm.min() < 0 or fm.max() >= dst.order:
         raise SizeMismatch("map values out of range for target quandle")
-    return bool(np.array_equal(fm[src.table], dst.table[fm[:, None], fm[None, :]]))
+    return bool(_homomorphisms(fm[None], src.table, dst.table)[0])
+
+
+def _homomorphisms(f, s, t):
+    """For each row i of the (k, n) map stack f, whether
+    f_i(s[i, x, y]) = t[i, f_i(x), f_i(y)] for all x, y; s and t are
+    (k, n, n) stacks of tables, or one (n, n) table for every i."""
+    k, n = f.shape
+    off = np.arange(k)[:, None, None] * n           # row f_i starts at i n
+    lhs = np.take(f, s + off)
+    rhs = np.take(t, (off * n if t.ndim == 3 else 0)
+                  + f[:, :, None] * n + f[:, None, :])
+    return (lhs == rhs).reshape(k, -1).all(axis=1)
 
 
 def invariant_profile(q: FiniteQuandle):

@@ -134,20 +134,30 @@ def _colorings(d, q):
     A crossing is looked at again when one of its arcs becomes known.
     When nothing is forced, each column is repeated once per color of the
     lowest-id over arc of a crossing with a known under arc, which forces
-    at once, else of the lowest unknown arc; past MAX_CELLS entries that
-    raises OutputCapExceeded before allocating."""
+    at once, else of the lowest unknown arc of a crossing.  When no
+    crossing has an unknown arc, the arcs of no crossing, which are all
+    that is left, take every combination of colors in one step.  Past
+    MAX_CELLS entries a step raises OutputCapExceeded before allocating."""
     n, k = d.arc_count, q.order
     m = np.zeros((n, 1), dtype=np.int64)
     known = [False] * n
-    touching = [[] for _ in range(n)]
+    touching = [None] * n          # arc -> crossings it is in, if any
     for i, c in enumerate(d.crossings):
         for a in {c.over, c.under_in, c.under_out}:
+            if touching[a] is None:
+                touching[a] = []
             touching[a].append(i)
     pending, work = set(range(len(d.crossings))), []
+    low = 0                        # arcs below it are known or in no crossing
 
     def learn(a):
         known[a] = True
         work.extend(touching[a])
+
+    def bound(cols, reps, colors):
+        if n * cols * reps > MAX_CELLS:
+            raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: {n} arcs "
+                                    f"x {cols} partial colorings x {colors} colors")
 
     while True:
         while work:
@@ -166,16 +176,27 @@ def _colorings(d, q):
                 m[c.under_in] = back[m[c.under_out], m[c.over]]
                 learn(c.under_in)
             pending.discard(i)
+        while low < n and (known[low] or touching[low] is None):
+            low += 1
         crossings = (d.crossings[i] for i in pending)
         arc = min((c.over for c in crossings if not known[c.over]
                    and (known[c.under_in] or known[c.under_out])),
-                  default=next((a for a in range(n) if not known[a]), None))
+                  default=low if low < n else None)
         cols = m.shape[1]
+        if arc is None and cols and not all(known):
+            # only arcs in no crossing are unknown: every combination at
+            # once, combination j giving free[i] the i-th base-k digit of
+            # j.  reps is k^len(free) exactly unless k > 1 and the bound
+            # is passed anyway.
+            free = np.flatnonzero(np.logical_not(known))
+            reps = k ** min(len(free), MAX_CELLS.bit_length())
+            bound(cols, reps, f"{k}^{len(free)}")
+            m = np.repeat(m, reps, axis=1)
+            digits = k ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
+            m[free] = np.tile(np.arange(reps) // digits[:, None] % k, cols)
         if arc is None or cols == 0:
-            return m[:, np.lexsort(m[::-1])]
-        if n * cols * k > MAX_CELLS:
-            raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: "
-                                    f"{n} arcs x {cols * k} partial colorings")
+            return m[:, np.lexsort(m[::-1])] if m.shape[1] > 1 else m
+        bound(cols, k, k)
         m = np.repeat(m, k, axis=1)
         m[arc] = np.tile(np.arange(k), cols)
         learn(arc)

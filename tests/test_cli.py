@@ -393,7 +393,10 @@ class TestCensusAndCatalog:
          "6dbb2d30e920021c0821be0f6f63b4ecb94cddb9187e2a174f7c541a7e67e8d5"),
         (("--max-order", "48"),
          "ca8be30d5d8a772f2b110d50b073237c651ab5aa98a00bd70c106b94b7ac96f0"),
-    ], ids=["dedup16", "dedup24", "dedup32", "dedup48", "raw48"])
+        # 8908 rows; the only census that stacks dihedral(31)'s 930 tables
+        (("--max-order", "64"),
+         "b7383cc810f98421f708ca59823755c452c089ae46e8143008a0f9383430ba63"),
+    ], ids=["dedup16", "dedup24", "dedup32", "dedup48", "raw48", "raw64"])
     def test_census_output_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "census", *argv)
         assert (code, err) == (0, "")

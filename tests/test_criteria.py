@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import itertools
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from quandlekit import criteria
+from quandlekit import _kernels, criteria
 from quandlekit.criteria import (
     CensusRecord,
     Witness,
@@ -34,6 +36,7 @@ from quandlekit.quandles import (
     isomorphic,
     relabel,
     trivial_quandle,
+    validate_quandle,
 )
 
 
@@ -137,6 +140,20 @@ class TestAssociatedGroupPresentation:
         assert text == "gen g0\nrel g0^-1 g0 g0 = g0\n"
 
 
+@functools.lru_cache
+def _permutations(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+
+
+def _brute_force_isomorphic(a, b):
+    """Whether some bijection f has f(a[x, y]) = b[f(x), f(y)]: all n!
+    permutations at once, dropping those that fail row x, for each x."""
+    f = _permutations(a.order)
+    for x in range(a.order):
+        f = f[(f[:, a.table[x]] == b.table[f[:, [x]], f]).all(axis=1)]
+    return len(f) > 0
+
+
 class TestCensus:
     def test_max_order_1(self):
         records, _ = census_galex(1)
@@ -197,27 +214,47 @@ class TestCensus:
         assert all(a.same_table(b) for a, b in zip(quandles, ref_q))
         assert len(quandles) == len(ref_q)
 
-    def test_existence_search_agrees_with_isomorphic(self):
-        # every pair of Aut(G)-class leaders of census_galex(16) that share
-        # an invariant bucket, in the order the dedup compares them
-        buckets = defaultdict(list)
-        for g in census_catalog(16):
-            auts = automorphisms(g)
-            for c, (li, _) in enumerate(criteria._aut_class_leaders(auts)):
-                if li == c:
-                    q = galex(g, auts[c])
-                    p = invariant_profile(q)
-                    buckets[(q.order, tuple(sorted(p)))].append((q, p))
-        outcomes = set()
-        for bucket in buckets.values():
-            for (a, pa), (b, pb) in itertools.combinations(bucket, 2):
-                f = _any_isomorphism(a, b, pa, pb, range(b.order))
-                assert (f is None) == (isomorphic(a, b) is None), (a.label, b.label)
-                if f is not None:
-                    assert sorted(f) == list(range(a.order))
-                    assert is_homomorphism(f, a, b)
-                outcomes.add(f is None)
-        assert outcomes == {False, True}
+    def test_stacked_tables_match_validated_per_map_tables(self):
+        # every raw record up to order 32: its table and inverse table, cut
+        # from its group's stack, equal what the full validator gives for
+        # the table built from its automorphism alone
+        records, quandles = census_galex(32)
+        auts = {g.name: (g, automorphisms(g)) for g in census_catalog(32)}
+        for r, q in zip(records, quandles):
+            g, gauts = auts[r.group_name]
+            smap = np.array(gauts[r.automorphism_index].map)
+            # x <| y = sigma(x y^-1) y
+            t = g.table[smap[g.table[:, g.inverse]], np.arange(g.order)]
+            v = validate_quandle(t)
+            assert np.array_equal(q.table, v.table), q.label
+            assert np.array_equal(q.inv_table, v.inv_table), q.label
+            assert q.label == f"GAlex({g.name},{''.join(map(str, smap))})"
+        assert len(records) == 1792
+
+    def test_stacked_witnesses_match_holds_in_scan(self):
+        # orders <= 8: the census flags, the stack kernels over all tables
+        # of one order, and the single-table witnesses all give the first
+        # pair in row-major order that a pure-Python holds_in scan finds
+        records, quandles = census_galex(8)
+        by_order = defaultdict(list)
+        for r, q in zip(records, quandles):
+            by_order[q.order].append((r, q))
+        found = set()
+        for n, pairs in by_order.items():
+            stack = np.stack([q.table for _, q in pairs])
+            for kind, scan, single, flag in (
+                    ("hopf", _kernels.hopf_witness_scan, hopf_witness,
+                     "hopf_admissible"),
+                    ("trefoil", _kernels.trefoil_witness_scan, trefoil_witness,
+                     "trefoil_admissible")):
+                want = [next((Witness(x, y, kind) for x in range(n) for y in range(n)
+                              if Witness(x, y, kind).holds_in(q)), None)
+                        for _, q in pairs]
+                assert [h and Witness(*h, kind) for h in scan(stack)] == want
+                assert [single(q) for _, q in pairs] == want
+                assert [getattr(r, flag) for r, _ in pairs] == [w is None for w in want]
+                found.update((kind, w is None) for w in want)
+        assert found == {("hopf", True), ("trefoil", True), ("trefoil", False)}
 
     def test_right_translations_are_automorphisms(self):
         # the premise of the census's pin: x -> x g maps GAlex(G, sigma)
@@ -231,9 +268,12 @@ class TestCensus:
                 assert is_homomorphism(table[:, g], q, q), (q.label, g)
 
     def test_identity_pinned_search_agrees_with_isomorphic(self, monkeypatch):
-        # the pins census_galex hands to the dedup are {e}, and over the
-        # bucket pairs of test_existence_search_agrees_with_isomorphic the
-        # search pinned there finds a map exactly when isomorphic() does
+        # the pins census_galex hands to the dedup are {e}; over every pair
+        # of its 198 inputs (the Aut(G)-class leaders of census_galex(16))
+        # that share an invariant bucket, in the order the dedup compares
+        # them, the search pinned there finds a map exactly when
+        # isomorphic() does, and on orders <= 8 exactly when a brute force
+        # over all n! bijections does
         seen = {}
 
         def capture(records, quandles, pins):
@@ -249,17 +289,23 @@ class TestCensus:
             p = invariant_profile(q)
             buckets[(q.order, tuple(sorted(p)))].append((q, p, pin))
         assert len(seen["quandles"]) == 198
-        outcomes = set()
+        outcomes, brute_forced = set(), set()
         for bucket in buckets.values():
             for (a, pa, _), (b, pb, pin) in itertools.combinations(bucket, 2):
                 f = _any_isomorphism(a, b, pa, pb, pin)
-                assert (f is None) == (isomorphic(a, b) is None), (a.label, b.label)
+                g = isomorphic(a, b)
+                assert (f is None) == (g is None), (a.label, b.label)
+                for h in (f, g):
+                    if h is not None:
+                        assert sorted(h) == list(range(a.order))
+                        assert is_homomorphism(h, a, b)
                 if f is not None:
                     assert f[0] == pin[0]
-                    assert sorted(f) == list(range(a.order))
-                    assert is_homomorphism(f, a, b)
+                if a.order <= 8:
+                    assert (f is None) == (not _brute_force_isomorphic(a, b))
+                    brute_forced.add(f is None)
                 outcomes.add(f is None)
-        assert outcomes == {False, True}
+        assert outcomes == brute_forced == {False, True}
 
     def test_dedup_without_pins_searches_every_orbit(self):
         # in Conj(S3) the identity 0 is an Inn-orbit of its own, so an
@@ -292,7 +338,14 @@ class TestCensus:
             assert conj == auts[c].map
 
     def test_failed_conjugation_certificate_raises(self, monkeypatch):
-        monkeypatch.setattr(criteria, "is_homomorphism", lambda *a: False)
+        # the certificates are checked in batches; one that fails in the
+        # last place of its batch is enough
+        def last_fails(f, s, t):
+            ok = np.ones(len(f), dtype=bool)
+            ok[-1] = False
+            return ok
+
+        monkeypatch.setattr(criteria, "_homomorphisms", last_fails)
         with pytest.raises(RuntimeError, match="conjugator"):
             census_galex(4, dedup=True)
 

@@ -197,15 +197,46 @@ LOOP_ORACLES = {
 }
 
 
+WITNESS_SCANS = ["hopf_witness_scan", "trefoil_witness_scan"]
+
+
+def _on_table(name):
+    """The kernel on one table; the witness scans take a stack of them."""
+    kernel = getattr(_kernels, name)
+    if name in WITNESS_SCANS:
+        return lambda t: kernel(t[None])[0]
+    return kernel
+
+
 class TestKernelsMatchLoops:
     """Each kernel reports exactly the first hit of the plain row-major
     loop, or None when the loop finds none."""
 
     @pytest.mark.parametrize("name", sorted(LOOP_ORACLES))
     def test_seeded_tables(self, name, seeded_tables):
-        kernel = getattr(_kernels, name)
+        kernel = _on_table(name)
         for t in seeded_tables:
             assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
+
+    # The witness scans take slabs of whole tables: _SLAB = 1 gives one
+    # table per slab, _SLAB = 50 two of order 5 or three of order 4.
+    @pytest.mark.parametrize("slab", [None, 1, 50])
+    @pytest.mark.parametrize("name", WITNESS_SCANS)
+    def test_stack_hits_match_slices(self, name, slab, seeded_tables,
+                                     monkeypatch):
+        if slab:
+            monkeypatch.setattr(_kernels, "_SLAB", slab)
+        kernel = getattr(_kernels, name)
+        by_order = {}
+        for t in seeded_tables:
+            by_order.setdefault(t.shape[0], []).append(t)
+        hits = set()
+        for ts in by_order.values():
+            want = [LOOP_ORACLES[name](t.tolist()) for t in ts]
+            assert kernel(np.stack(ts)) == want
+            assert [kernel(t[None])[0] for t in ts] == want
+            hits.update(w is not None for w in want)
+        assert hits == {False, True}
 
     # A slab holds max(1, _SLAB // n^2) x-values.  _SLAB = 1 gives one x
     # per slab; _SLAB = 50 gives 3 for n = 4 and 2 for n = 5, so the last
@@ -447,7 +478,8 @@ class TestGalex:
         the same error class with the same indices."""
         def outcome(fn):
             try:
-                return "ok", fn().table.tolist()
+                q = fn()
+                return "ok", q.table.tolist(), q.inv_table.tolist()
             except QuandleValidationError as e:
                 return type(e).__name__, str(e)
 

@@ -326,6 +326,42 @@ class TestSolver:
                 enumerate_colorings(d, q, mode)
         assert sizes == [15, 15, 15]
 
+    def test_20000_free_arcs_under_half_a_second(self):
+        # arcs in no crossing are colored in one step, not one branch each
+        d = parse_tangle("arcs 20000\nstart 0\nend 0\n")
+        assert enumerate_colorings(d, trivial_quandle(1), "count") == 1
+        assert best_seconds(lambda: enumerate_colorings(
+            d, trivial_quandle(1), "count")) < 0.5
+
+    def test_free_arcs_past_the_cell_bound_raise(self):
+        # 12 free arcs over R5: 12 x 5^12 cells
+        d = parse_tangle("arcs 12\nstart 0\nend 0\n")
+        for mode in ("count", "list", "admissibility"):
+            with pytest.raises(OutputCapExceeded, match="solver cells"):
+                enumerate_colorings(d, dihedral_quandle(5), mode)
+
+    def test_free_arcs_mixed_with_crossings_in_brute_force_order(self):
+        # the hopf and trefoil diagrams with free arcs inserted below,
+        # between and above their arc ids
+        z5 = catalog("cyclic", 5)
+        pool = [trivial_quandle(2), dihedral_quandle(3),
+                galex(z5, automorphisms(z5)[1]), conj_quandle(catalog("symmetric", 3))]
+        for name in ("hopf", "trefoil"):
+            base = builtin_tangle(name)
+            for free in ({0}, {1, 3}, {0, 2, 5}):
+                arcs = base.arc_count + len(free)
+                ids = [a for a in range(arcs) if a not in free]
+                d = make_diagram(arcs, ids[base.start_arc], ids[base.end_arc], [
+                    Crossing(c.sign, ids[c.over], ids[c.under_in], ids[c.under_out])
+                    for c in base.crossings])
+                for q in pool:
+                    if q.order ** arcs > 10 ** 5:
+                        continue
+                    want = brute_force_colorings(d, q)
+                    got = [c.assignment for c in enumerate_colorings(d, q, "list")]
+                    assert got == want, (name, free, q.label)
+                    assert enumerate_colorings(d, q, "count") == len(want)
+
     def test_output_cap(self):
         d = builtin_tangle("hopf")                     # 9 colorings
         with pytest.raises(OutputCapExceeded, match="more than 8 colorings"):
