@@ -231,6 +231,19 @@ class TestCensus:
             assert q.label == f"GAlex({g.name},{''.join(map(str, smap))})"
         assert len(records) == 1792
 
+    @pytest.mark.parametrize("slab", [1, 50])
+    def test_chunk_size_does_not_change_the_census(self, slab, monkeypatch):
+        # the census builds and checks its tables in chunks of about
+        # _SLAB entries: one table per chunk, or a few with chunks ending
+        # inside Aut(G), give the same records and tables
+        want = [census_galex(12, dedup=d) for d in (False, True)]
+        monkeypatch.setattr(_kernels, "_SLAB", slab)
+        for dedup, (records, quandles) in zip((False, True), want):
+            got_r, got_q = census_galex(12, dedup=dedup)
+            assert got_r == records
+            assert all(a.same_table(b) and np.array_equal(a.inv_table, b.inv_table)
+                       for a, b in zip(got_q, quandles))
+
     def test_stacked_witnesses_match_holds_in_scan(self):
         # orders <= 8: the census flags, the stack kernels over all tables
         # of one order, and the single-table witnesses all give the first

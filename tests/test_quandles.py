@@ -218,14 +218,9 @@ class TestKernelsMatchLoops:
         for t in seeded_tables:
             assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
 
-    # The witness scans take slabs of whole tables: _SLAB = 1 gives one
-    # table per slab, _SLAB = 50 two of order 5 or three of order 4.
-    @pytest.mark.parametrize("slab", [None, 1, 50])
     @pytest.mark.parametrize("name", WITNESS_SCANS)
-    def test_stack_hits_match_slices(self, name, slab, seeded_tables,
-                                     monkeypatch):
-        if slab:
-            monkeypatch.setattr(_kernels, "_SLAB", slab)
+    def test_stack_hits_match_slices(self, name, seeded_tables):
+        # each order's seeded tables as one stack
         kernel = getattr(_kernels, name)
         by_order = {}
         for t in seeded_tables:
