@@ -88,8 +88,8 @@ def _quandles(t, labels):
     inv[np.arange(len(t))[:, None, None], t, ar] = ar[:, None]
     t.setflags(write=False)
     inv.setflags(write=False)
-    return [FiniteQuandle(order=n, table=a, inv_table=b, label=label)
-            for a, b, label in zip(t, inv, labels)]
+    return [FiniteQuandle(order=n, table=t[i], inv_table=inv[i], label=label)
+            for i, label in enumerate(labels)]
 
 
 def _quandle(t, label):
