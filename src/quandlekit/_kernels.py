@@ -2,34 +2,25 @@
 
 Every position the package reports (a violation, a witness, a repeat) is
 the *first* one in row-major scan order: the order of nested loops over
-the index tuple, last index fastest.  `first_hit` is the one place that
-picks it, with `first_hits` its form for a stack of masks, and the
-kernels return its None when there is no hit.
+the index tuple, last index fastest.  `first_hits` is the one place that
+picks it, and the kernels return its None when there is no hit.
 """
-
-import math
 
 import numpy as np
 
 BACKEND = "numpy"
 
 
-def first_hit(mask):
-    """Index tuple of the first True of a nonempty boolean array in
-    row-major order, or None.  argmax stops at the first True, so only a
-    mask with no True is scanned to the end."""
-    i = int(mask.argmax())
-    if not mask.flat[i]:
-        return None
-    return tuple(int(v) for v in np.unravel_index(i, mask.shape))
-
-
 def first_hits(masks):
-    """first_hit of each slice of a boolean stack, in one argmax."""
-    shape = masks.shape[1:]
-    flat = masks.reshape(len(masks), math.prod(shape))
-    return [tuple(int(v) for v in np.unravel_index(i, shape)) if flat[k, i] else None
-            for k, i in enumerate(flat.argmax(axis=1).tolist())]
+    """Per nonempty slice of a boolean stack, the index tuple of its first
+    True, or None.  argmax stops there, so only a hitless slice is read."""
+    flat = masks.reshape(len(masks), -1)
+    return [tuple(int(v) for v in np.unravel_index(i, masks.shape[1:])) if flat[k, i]
+            else None for k, i in enumerate(flat.argmax(axis=1).tolist())]
+
+
+def first_hit(mask):
+    return first_hits(mask[None])[0]
 
 
 # Cube entries per x-slab of the n^3 scans (about 0.5 MB per int64 array).
@@ -88,20 +79,18 @@ def self_distrib_violation(table):
 
 
 def hopf_witness_scan(tables):
-    """For each table of a (k, n, n) stack (an (n, n) table is a stack of
-    one), the first (x, y) with x<|y == x and y<|x != y, else None."""
+    """Per table of a (k, n, n) stack (or one (n, n) table), the first
+    (x, y) with x<|y == x and y<|x != y, else None."""
     n = tables.shape[-1]
     fixed = tables.reshape(-1, n, n) == np.arange(n)[:, None]     # x<|y == x
     return first_hits(fixed & ~fixed.transpose(0, 2, 1))
 
 
 def trefoil_witness_scan(tables):
-    """For each table of a (k, n, n) stack (an (n, n) table is a stack of
-    one), the first (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else
-    None."""
-    n = tables.shape[-1]
-    t = tables.reshape(-1, n, n)
-    ar = np.arange(n)
+    """Per table of a (k, n, n) stack (or one (n, n) table), the first
+    (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else None."""
+    ar = np.arange(tables.shape[-1])
+    t = tables.reshape(-1, ar.size, ar.size)
     cond = t[np.arange(len(t))[:, None, None], t, ar[:, None]] == ar   # (x<|y)<|x == y
     return first_hits(cond & ~cond.transpose(0, 2, 1))
 

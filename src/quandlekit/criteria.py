@@ -23,7 +23,6 @@ from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
     _any_isomorphism,
-    _galex_label,
     _galex_tables,
     _homomorphisms,
     _quandles,
@@ -94,8 +93,7 @@ def census_galex(max_group_order, dedup=False):
     isomorphism class is kept (flagged as such).  Dedup first merges each
     Aut(G)-conjugacy class of automorphisms, checking the conjugator as the
     isomorphism, then scans witnesses and searches isomorphisms among the
-    class leaders only.  Tables are built, checked and scanned as stacks
-    of about _kernels._SLAB entries (see `_galex_tables`).
+    class leaders only, all in stacks of tables (see `_galex_tables`).
 
     Why one search per pair, with f(0) pinned to the identity e of G, finds
     an isomorphism A -> B = GAlex(G, sigma) whenever one exists: the right
@@ -112,38 +110,32 @@ def census_galex(max_group_order, dedup=False):
     records, quandles, pins = [], [], []
     for grp in census_catalog(max_group_order):
         auts = automorphisms(grp)
-        leaders = (_aut_class_leaders(auts) if dedup
-                   else [(c, None) for c in range(len(auts))])
+        leaders = _aut_class_leaders(auts) if dedup else [(c, None) for c in range(len(auts))]
         keep = [c for c, (li, _) in enumerate(leaders) if li == c]
-        labels = [_galex_label(grp, auts[c]) for c in keep]
-        qs, hits = [], []
-        for _, t in _galex_tables(grp, [auts[c] for c in keep]):
-            qs += _quandles(t, labels[len(qs):len(qs) + len(t)])
-            hits += zip(_kernels.hopf_witness_scan(t), _kernels.trefoil_witness_scan(t))
-        # the conjugator of each other automorphism, against its leader
-        rest = [c for c, (li, _) in enumerate(leaders) if li != c]
-        kept = dict(zip(keep, qs))
-        for a, t in _galex_tables(grp, [auts[c] for c in rest]):
-            cs = rest[a:a + len(t)]
-            ok = _homomorphisms(np.array([leaders[c][1] for c in cs]),
-                                np.array([kept[leaders[c][0]].table for c in cs]), t)
-            if not ok.all():
-                c = cs[int(np.argmin(ok))]
-                raise RuntimeError(
-                    f"conjugator does not map GAlex({grp.name}, aut {leaders[c][0]}) "
-                    f"onto GAlex({grp.name}, aut {c})")
-        for c, q, (hopf, trefoil) in zip(keep, qs, hits):
-            records.append(CensusRecord(
-                group_name=grp.name,
-                group_order=grp.order,
-                automorphism_index=c,
-                quandle_order=q.order,
-                isomorphism_class_representative=dedup,
-                hopf_admissible=hopf is None,
-                trefoil_admissible=trefoil is None,
-            ))
-            quandles.append(q)
-            pins.append([grp.identity])
+        first = len(quandles)
+        for a, t in _galex_tables(grp, [auts[c] for c in keep]):
+            cs = keep[a:a + len(t)]
+            quandles += _quandles(t, [f"GAlex({grp.name},{''.join(map(str, auts[c].map))})"
+                                      for c in cs])
+            for c, hopf, trefoil in zip(cs, _kernels.hopf_witness_scan(t),
+                                        _kernels.trefoil_witness_scan(t)):
+                records.append(CensusRecord(
+                    group_name=grp.name, group_order=grp.order, automorphism_index=c,
+                    quandle_order=grp.order, isomorphism_class_representative=dedup,
+                    hopf_admissible=hopf is None, trefoil_admissible=trefoil is None))
+                pins.append([grp.identity])
+        if dedup:       # each other automorphism's conjugator, against its leader
+            kept = dict(zip(keep, quandles[first:]))
+            rest = [c for c, (li, _) in enumerate(leaders) if li != c]
+            for a, t in _galex_tables(grp, [auts[c] for c in rest]):
+                cs = rest[a:a + len(t)]
+                ok = _homomorphisms(np.array([leaders[c][1] for c in cs]),
+                                    np.array([kept[leaders[c][0]].table for c in cs]), t)
+                if not ok.all():
+                    c = cs[int(np.argmin(ok))]
+                    raise RuntimeError(
+                        f"conjugator does not map GAlex({grp.name}, aut {leaders[c][0]}) "
+                        f"onto GAlex({grp.name}, aut {c})")
     if dedup:
         # A non-leader is isomorphic to its earlier leader, so the first
         # record of every isomorphism class is a leader.

@@ -76,12 +76,9 @@ def validate_quandle(table, label=""):
 
 
 def _quandles(t, labels):
-    """Wrap a (k, n, n) int64 stack of tables that are quandles by
-    construction: build all inverse tables with one scatter, freeze both
-    stacks, and view slice i as the quandle labels[i].  No axiom is
-    checked; the constructors below call this only where their algebra
-    proves the axioms, and `t` must be a fresh array that nothing else
-    holds."""
+    """Quandles labels[i] viewing slice i of a fresh (k, n, n) int64 stack
+    of tables, and of inverse tables built in one scatter, both frozen.  No
+    axiom is checked: callers pass only tables proved to be quandles."""
     n = t.shape[-1]
     ar = np.arange(n)
     inv = np.empty(t.shape, dtype=np.int64)
@@ -93,7 +90,6 @@ def _quandles(t, labels):
 
 
 def _quandle(t, label):
-    """`_quandles` of one (n, n) table."""
     return _quandles(t[None], [label])[0]
 
 
@@ -123,27 +119,19 @@ def galex(g: FiniteGroup, sigma: GroupAutomorphism):
     if sigma.group is not g and not sigma.group.same_table(g):
         raise AutomorphismMismatch("automorphism is not over the given group")
     (_, t), = _galex_tables(g, [sigma])
-    return _quandles(t, [_galex_label(g, sigma)])[0]
-
-
-def _galex_label(g, sigma):
-    return f"GAlex({g.name},{''.join(map(str, sigma.map))})"
+    return _quandles(t, [f"GAlex({g.name},{''.join(map(str, sigma.map))})"])[0]
 
 
 def _galex_tables(g: FiniteGroup, auts):
-    """Yield (a, t) for consecutive chunks of the GroupAutomorphisms auts
-    of G, about _kernels._SLAB table entries each: t[i] is the table of
-    GAlex(G, auts[a + i]).  GroupAutomorphism checks only that sigma is a
-    bijection.  When sigma is also a homomorphism (an O(n^2) check,
-    batched per chunk) the table is a quandle; otherwise it gets the full
-    check, which some such tables pass and which raises at the first that
-    does not."""
+    """Yield (a, t) per chunk of auts, t[i] the table of GAlex(G, auts[a + i]).
+    A chunk holds about _kernels._SLAB / 4 entries: its temporaries are a
+    few arrays its size.  A bijection sigma that is also a homomorphism
+    gives a quandle; any other gets the full check, which may raise."""
     m, n = g.table, g.order
     u = m[:, g.inverse]                        # u[x, y] = x * inv(y)
-    maps = np.array([a.map for a in auts], dtype=np.int64)
-    step = max(1, _kernels._SLAB // (n * n))
-    for a in range(0, len(maps), step):
-        s = maps[a:a + step]
+    step = max(1, _kernels._SLAB // (4 * n * n))
+    for a in range(0, len(auts), step):
+        s = np.array([sigma.map for sigma in auts[a:a + step]], dtype=np.int64)
         # t[i, x, y] = m[s_i(x y^-1), y], at flat index s_i(u[x, y]) n + y
         t = np.take(m, np.take(s, u, axis=1) * n + np.arange(n))
         for i in np.flatnonzero(~_homomorphisms(s, m, m)):
@@ -239,15 +227,12 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
 
 
 def _homomorphisms(f, s, t):
-    """For each row i of the (k, n) map stack f, whether
-    f_i(s[i, x, y]) = t[i, f_i(x), f_i(y)] for all x, y; s and t are
-    (k, n, n) stacks of tables, or one (n, n) table for every i."""
-    k, n = f.shape
-    off = np.arange(k)[:, None, None] * n           # row f_i starts at i n
-    lhs = np.take(f, s + off)
-    rhs = np.take(t, (off * n if t.ndim == 3 else 0)
-                  + f[:, :, None] * n + f[:, None, :])
-    return (lhs == rhs).reshape(k, -1).all(axis=1)
+    """Per map f_i of a (k, n) stack, whether f_i(s[i, x, y]) = t[i, f_i(x),
+    f_i(y)] for all x, y; s or t may be one table for every i."""
+    i = np.arange(len(f))[:, None, None]
+    x, y = f[:, :, None], f[:, None, :]
+    rhs = t[i, x, y] if t.ndim == 3 else t[x, y]
+    return (f[i, s] == rhs).reshape(len(f), -1).all(axis=1)
 
 
 def invariant_profile(q: FiniteQuandle):

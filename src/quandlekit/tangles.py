@@ -134,30 +134,27 @@ def _colorings(d, q):
     A crossing is looked at again when one of its arcs becomes known.
     When nothing is forced, each column is repeated once per color of the
     lowest-id over arc of a crossing with a known under arc, which forces
-    at once, else of the lowest unknown arc of a crossing.  When no
-    crossing has an unknown arc, the arcs of no crossing, which are all
-    that is left, take every combination of colors in one step.  Past
-    MAX_CELLS entries a step raises OutputCapExceeded before allocating."""
+    at once, else of the lowest unknown arc; the arcs of no crossing come
+    last, in one step.  Past MAX_CELLS entries a step raises
+    OutputCapExceeded before allocating."""
     n, k = d.arc_count, q.order
     m = np.zeros((n, 1), dtype=np.int64)
     known = [False] * n
-    touching = [None] * n          # arc -> crossings it is in, if any
+    touching = [[] for _ in range(n)]
     for i, c in enumerate(d.crossings):
         for a in {c.over, c.under_in, c.under_out}:
-            if touching[a] is None:
-                touching[a] = []
             touching[a].append(i)
     pending, work = set(range(len(d.crossings))), []
-    low = 0                        # arcs below it are known or in no crossing
+    low = 0                     # arcs below it are known or in no crossing
 
     def learn(a):
         known[a] = True
         work.extend(touching[a])
 
-    def bound(cols, reps, colors):
-        if n * cols * reps > MAX_CELLS:
-            raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: {n} arcs "
-                                    f"x {cols} partial colorings x {colors} colors")
+    def bound(reps, colors):
+        if n * m.shape[1] * reps > MAX_CELLS:
+            raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: {n} arcs x "
+                                    f"{m.shape[1]} partial colorings x {colors} colors")
 
     while True:
         while work:
@@ -176,30 +173,28 @@ def _colorings(d, q):
                 m[c.under_in] = back[m[c.under_out], m[c.over]]
                 learn(c.under_in)
             pending.discard(i)
-        while low < n and (known[low] or touching[low] is None):
+        while low < n and (known[low] or not touching[low]):
             low += 1
         crossings = (d.crossings[i] for i in pending)
         arc = min((c.over for c in crossings if not known[c.over]
                    and (known[c.under_in] or known[c.under_out])),
                   default=low if low < n else None)
         cols = m.shape[1]
-        if arc is None and cols and not all(known):
-            # only arcs in no crossing are unknown: every combination at
-            # once, combination j giving free[i] the i-th base-k digit of
-            # j.  reps is k^len(free) exactly unless k > 1 and the bound
-            # is passed anyway.
-            free = np.flatnonzero(np.logical_not(known))
-            reps = k ** min(len(free), MAX_CELLS.bit_length())
-            bound(cols, reps, f"{k}^{len(free)}")
-            m = np.repeat(m, reps, axis=1)
-            digits = k ** np.arange(len(free) - 1, -1, -1, dtype=np.int64)
-            m[free] = np.tile(np.arange(reps) // digits[:, None] % k, cols)
         if arc is None or cols == 0:
-            return m[:, np.lexsort(m[::-1])] if m.shape[1] > 1 else m
-        bound(cols, k, k)
+            break
+        bound(k, k)
         m = np.repeat(m, k, axis=1)
         m[arc] = np.tile(np.arange(k), cols)
         learn(arc)
+    if cols and not all(known):     # the arcs of no crossing are all unknown
+        free = np.flatnonzero(np.logical_not(known))
+        # combination j gives free[i] digit i of j in base k; reps is
+        # k^len(free) exactly unless the bound is passed anyway
+        reps = k ** min(len(free), MAX_CELLS.bit_length())
+        bound(reps, f"{k}^{len(free)}")
+        m = np.repeat(m, reps, axis=1)
+        m[free] = np.tile(np.arange(reps) // k ** np.arange(len(free))[:, None] % k, cols)
+    return m[:, np.lexsort(m[::-1])] if m.shape[1] > 1 else m
 
 
 def check_coloring(d, q, assignment):

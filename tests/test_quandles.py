@@ -658,6 +658,27 @@ class TestHomomorphisms:
             is_homomorphism(f, dihedral_quandle(3), dihedral_quandle(3))
 
 
+    @pytest.mark.parametrize("f, src, dst", [
+        ([0, 1], trivial_quandle(2), trivial_quandle(3)),
+        ([1, 1, 1], dihedral_quandle(3), trivial_quandle(2)),
+        ([0, 2, 4, 1, 3], dihedral_quandle(5), dihedral_quandle(5)),
+    ])
+    def test_known_homomorphisms(self, f, src, dst):
+        assert is_homomorphism(f, src, dst)
+
+    def test_every_map_between_orders_matches_loop(self):
+        qs = [trivial_quandle(2), dihedral_quandle(3), trivial_quandle(3),
+              dihedral_quandle(4), dihedral_quandle(5)]
+        for src in qs:
+            for dst in qs:
+                if dst.order ** src.order > 1000:
+                    continue
+                for f in itertools.product(range(dst.order), repeat=src.order):
+                    want = all(f[src.op(x, y)] == dst.op(f[x], f[y])
+                               for x in range(src.order) for y in range(src.order))
+                    assert is_homomorphism(list(f), src, dst) == want, (f, src.label, dst.label)
+
+
 class TestIsomorphic:
     def test_relabeled_r3(self):
         q = dihedral_quandle(3)
