@@ -2,7 +2,7 @@
 
 Every position the package reports (a violation, a witness, a repeat) is
 the *first* one in row-major scan order: the order of nested loops over
-the index tuple, last index fastest.  `first_hits` is the one place that
+the index tuple, last index fastest.  `first_hit` is the one place that
 picks it, and the kernels return its None when there is no hit.
 """
 
@@ -11,16 +11,11 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def first_hits(masks):
-    """Per nonempty slice of a boolean stack, the index tuple of its first
-    True, or None.  argmax stops there, so only a hitless slice is read."""
-    flat = masks.reshape(len(masks), -1)
-    return [tuple(int(v) for v in np.unravel_index(i, masks.shape[1:])) if flat[k, i]
-            else None for k, i in enumerate(flat.argmax(axis=1).tolist())]
-
-
 def first_hit(mask):
-    return first_hits(mask[None])[0]
+    """Index tuple of the first True of a nonempty boolean array in
+    row-major order, or None; argmax stops there, so only a miss reads it all."""
+    i = int(mask.argmax())
+    return tuple(int(v) for v in np.unravel_index(i, mask.shape)) if mask.flat[i] else None
 
 
 # Cube entries per x-slab of the n^3 scans (about 0.5 MB per int64 array).
@@ -78,21 +73,17 @@ def self_distrib_violation(table):
     return _first_cube_mismatch(table, (table * n)[:, None, :])
 
 
-def hopf_witness_scan(tables):
-    """Per table of a (k, n, n) stack (or one (n, n) table), the first
-    (x, y) with x<|y == x and y<|x != y, else None."""
-    n = tables.shape[-1]
-    fixed = tables.reshape(-1, n, n) == np.arange(n)[:, None]     # x<|y == x
-    return first_hits(fixed & ~fixed.transpose(0, 2, 1))
+def hopf_witness_scan(table):
+    """First (x, y) with x<|y == x and y<|x != y, else None."""
+    fixed = table == np.arange(table.shape[0])[:, None]     # x<|y == x
+    return first_hit(fixed & ~fixed.T)
 
 
-def trefoil_witness_scan(tables):
-    """Per table of a (k, n, n) stack (or one (n, n) table), the first
-    (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else None."""
-    ar = np.arange(tables.shape[-1])
-    t = tables.reshape(-1, ar.size, ar.size)
-    cond = t[np.arange(len(t))[:, None, None], t, ar[:, None]] == ar   # (x<|y)<|x == y
-    return first_hits(cond & ~cond.transpose(0, 2, 1))
+def trefoil_witness_scan(table):
+    """First (x, y) with (x<|y)<|x == y and (y<|x)<|y != x, else None."""
+    ar = np.arange(table.shape[0])
+    cond = table[table, ar[:, None]] == ar[None, :]      # (x<|y)<|x == y
+    return first_hit(cond & ~cond.T)
 
 
 def cycle_lengths(table):

@@ -227,7 +227,7 @@ def _cmd_present(args):
 
 
 def _cmd_census(args):
-    records, _ = criteria.census_galex(args.max_order, dedup=args.dedup)
+    records = criteria.census_galex(args.max_order, dedup=args.dedup)
     sys.stdout.write(criteria.format_census(records))
     return 0
 

@@ -23,6 +23,7 @@ from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
     _any_isomorphism,
+    _galex_maps,
     _galex_tables,
     _homomorphisms,
     _quandles,
@@ -60,14 +61,14 @@ class CensusRecord:
 def hopf_witness(q: FiniteQuandle):
     """First (x, y) in lexicographic order with x <| y = x, y <| x != y;
     None exactly when q is Hopf-link admissible."""
-    hit, = _kernels.hopf_witness_scan(q.table[None])
+    hit = _kernels.hopf_witness_scan(q.table)
     return None if hit is None else Witness(*hit, "hopf")
 
 
 def trefoil_witness(q: FiniteQuandle):
     """First (x, y) in lexicographic order with (x <| y) <| x = y and
     (y <| x) <| y != x; None exactly when q is trefoil admissible."""
-    hit, = _kernels.trefoil_witness_scan(q.table[None])
+    hit = _kernels.trefoil_witness_scan(q.table)
     return None if hit is None else Witness(*hit, "trefoil")
 
 
@@ -76,12 +77,9 @@ def associated_group_presentation(q: FiniteQuandle):
     g_y^-1 g_x g_y = g_{x <| y}.  No simplification."""
     n = q.order
     gens = tuple(f"g{i}" for i in range(n))
-    rels = []
-    for x in range(n):
-        for y in range(n):
-            rels.append((f"g{y}^-1 g{x} g{y}", f"g{q.op(x, y)}"))
-    return Presentation(generators=gens, relations=tuple(rels),
-                        kind="associated_group")
+    rels = tuple((f"g{y}^-1 g{x} g{y}", f"g{q.op(x, y)}")
+                 for x in range(n) for y in range(n))
+    return Presentation(generators=gens, relations=rels, kind="associated_group")
 
 
 # -- census over generalized Alexander quandles ------------------------------
@@ -89,78 +87,72 @@ def associated_group_presentation(q: FiniteQuandle):
 def census_galex(max_group_order, dedup=False):
     """One record per (catalog group, automorphism) pair with group order
     <= max_group_order, in (group order, group name, automorphism index)
-    order.  With dedup, only the first representative of each quandle
-    isomorphism class is kept (flagged as such).  Dedup first merges each
-    Aut(G)-conjugacy class of automorphisms, checking the conjugator as the
-    isomorphism, then scans witnesses and searches isomorphisms among the
-    class leaders only, all in stacks of tables (see `_galex_tables`).
+    order; with dedup, only the first of each quandle isomorphism class.
 
-    Why one search per pair, with f(0) pinned to the identity e of G, finds
-    an isomorphism A -> B = GAlex(G, sigma) whenever one exists: the right
-    translation R_g(x) = x g is an automorphism of B, because
-    (x g) <| (y g) = sigma(x g g^-1 y^-1) y g = (x <| y) g.  If f is any
-    isomorphism A -> B, then so is R_h f with h = f(0)^-1, and it sends 0
-    to f(0) f(0)^-1 = e.
-
-    Returns (records, quandles) aligned lists.
-    """
+    The records come from each group's (|Aut(G)|, n) array of maps, checked
+    on generators by `_galex_maps`.  Every right translation R_g(x) = x g
+    is an automorphism of B = GAlex(G, sigma), as (x g) <| (y g) =
+    sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a witness iff (x y^-1, e)
+    is one: `_galex_admissible` reads the flags off the pairs (d, e), and
+    the raw census builds no table.  Dedup merges each Aut(G)-conjugacy
+    class, checking the conjugator on the tables, then searches the class
+    leaders with f(0) pinned to e: if f: A -> B is an isomorphism, so is
+    R_h f with h = f(0)^-1."""
     if max_group_order > DEFAULT_MAX_ORDER:
-        raise OrderTooLarge(
-            f"census limited to group order {DEFAULT_MAX_ORDER}")
+        raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
     records, quandles, pins = [], [], []
     for grp in census_catalog(max_group_order):
-        auts = automorphisms(grp)
-        leaders = _aut_class_leaders(auts) if dedup else [(c, None) for c in range(len(auts))]
+        s = _galex_maps(grp, automorphisms(grp))
+        leaders = _aut_class_leaders(s) if dedup else [(c, None) for c in range(len(s))]
         keep = [c for c, (li, _) in enumerate(leaders) if li == c]
-        first = len(quandles)
-        for a, t in _galex_tables(grp, [auts[c] for c in keep]):
-            cs = keep[a:a + len(t)]
-            quandles += _quandles(t, [f"GAlex({grp.name},{''.join(map(str, auts[c].map))})"
-                                      for c in cs])
-            for c, hopf, trefoil in zip(cs, _kernels.hopf_witness_scan(t),
-                                        _kernels.trefoil_witness_scan(t)):
-                records.append(CensusRecord(
-                    group_name=grp.name, group_order=grp.order, automorphism_index=c,
-                    quandle_order=grp.order, isomorphism_class_representative=dedup,
-                    hopf_admissible=hopf is None, trefoil_admissible=trefoil is None))
-                pins.append([grp.identity])
+        records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
+                    for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
         if dedup:       # each other automorphism's conjugator, against its leader
-            kept = dict(zip(keep, quandles[first:]))
+            kept = dict(zip(keep, (q for _, t in _galex_tables(grp, s[keep])
+                                   for q in _quandles(t))))
+            quandles += kept.values()
+            pins += [[grp.identity]] * len(keep)
             rest = [c for c, (li, _) in enumerate(leaders) if li != c]
-            for a, t in _galex_tables(grp, [auts[c] for c in rest]):
+            for a, t in _galex_tables(grp, s[rest]):
                 cs = rest[a:a + len(t)]
                 ok = _homomorphisms(np.array([leaders[c][1] for c in cs]),
                                     np.array([kept[leaders[c][0]].table for c in cs]), t)
                 if not ok.all():
                     c = cs[int(np.argmin(ok))]
-                    raise RuntimeError(
-                        f"conjugator does not map GAlex({grp.name}, aut {leaders[c][0]}) "
-                        f"onto GAlex({grp.name}, aut {c})")
-    if dedup:
-        # A non-leader is isomorphic to its earlier leader, so the first
-        # record of every isomorphism class is a leader.
-        return dedup_by_isomorphism(records, quandles, pins)
-    return records, quandles
+                    raise RuntimeError(f"conjugator does not map GAlex({grp.name}, aut "
+                                       f"{leaders[c][0]}) onto GAlex({grp.name}, aut {c})")
+    # A non-leader is isomorphic to its earlier leader, so the first record
+    # of every isomorphism class is a leader.
+    return dedup_by_isomorphism(records, quandles, pins)[0] if dedup else records
 
 
-def _aut_class_leaders(auts):
-    """For each automorphism sigma_c of G (index c into auts, which holds all
+def _galex_admissible(g, s):
+    """The (hopf, trefoil) admissibility flags of GAlex(G, sigma) per row
+    sigma of s, from d <| e = sigma(d), e <| d = sigma(d^-1) d,
+    (d <| e) <| d = sigma(sigma(d) d^-1) d and (e <| d) <| e = sigma(e <| d).
+    sigma(d) = d forces e <| d = e, so no GAlex quandle is Hopf-witnessed."""
+    m, e, ar, i = g.table, g.identity, np.arange(g.order), np.arange(len(s))[:, None]
+    ed = m[s[:, g.inverse], ar]
+    hopf = (s == ar) & (ed != e)
+    trefoil = (m[s[i, m[s, g.inverse]], ar] == e) & (s[i, ed] != ar)
+    return (~hopf.any(axis=1)).tolist(), (~trefoil.any(axis=1)).tolist()
+
+
+def _aut_class_leaders(maps):
+    """For each automorphism sigma_c of G (row c of maps, which holds all
     of Aut(G)), the pair (l, phi): l is the least index in the Aut(G)-
     conjugacy class of sigma_c and phi in Aut(G) has phi sigma_l phi^-1 =
     sigma_c, so phi is an isomorphism GAlex(G, sigma_l) -> GAlex(G, sigma_c)."""
-    index = {a.map: i for i, a in enumerate(auts)}
-    maps = np.array([a.map for a in auts], dtype=np.int64)
+    index = {row: i for i, row in enumerate(map(tuple, maps.tolist()))}
     inverses = np.argsort(maps, axis=1)
-    out = [None] * len(auts)
+    out = [None] * len(maps)
     for i, sigma in enumerate(maps):
-        if out[i] is not None:
-            continue
-        # row j is phi_j sigma phi_j^-1
-        conj = np.take_along_axis(maps, sigma[inverses], axis=1)
-        for phi, row in zip(maps, conj.tolist()):
-            c = index[tuple(row)]
-            if out[c] is None:
-                out[c] = (i, phi)
+        if out[i] is None:      # row j of conj is phi_j sigma phi_j^-1
+            conj = np.take_along_axis(maps, sigma[inverses], axis=1)
+            for phi, row in zip(maps, conj.tolist()):
+                c = index[tuple(row)]
+                if out[c] is None:
+                    out[c] = (i, phi)
     return out
 
 

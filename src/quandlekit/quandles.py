@@ -75,10 +75,10 @@ def validate_quandle(table, label=""):
     return _quandle(t, label)
 
 
-def _quandles(t, labels):
-    """Quandles labels[i] viewing slice i of a fresh (k, n, n) int64 stack
-    of tables, and of inverse tables built in one scatter, both frozen.  No
-    axiom is checked: callers pass only tables proved to be quandles."""
+def _quandles(t, label=""):
+    """Quandles labelled label viewing the slices of a fresh (k, n, n) int64
+    stack of tables, and of inverse tables built in one scatter, both
+    frozen.  No axiom is checked: callers pass only proved quandles."""
     n = t.shape[-1]
     ar = np.arange(n)
     inv = np.empty(t.shape, dtype=np.int64)
@@ -86,11 +86,11 @@ def _quandles(t, labels):
     t.setflags(write=False)
     inv.setflags(write=False)
     return [FiniteQuandle(order=n, table=t[i], inv_table=inv[i], label=label)
-            for i, label in enumerate(labels)]
+            for i in range(len(t))]
 
 
 def _quandle(t, label):
-    return _quandles(t[None], [label])[0]
+    return _quandles(t[None], label)[0]
 
 
 def trivial_quandle(n):
@@ -118,25 +118,44 @@ def galex(g: FiniteGroup, sigma: GroupAutomorphism):
     """Generalized Alexander quandle: x <| y = sigma(x y^-1) y."""
     if sigma.group is not g and not sigma.group.same_table(g):
         raise AutomorphismMismatch("automorphism is not over the given group")
-    (_, t), = _galex_tables(g, [sigma])
-    return _quandles(t, [f"GAlex({g.name},{''.join(map(str, sigma.map))})"])[0]
+    (_, t), = _galex_tables(g, _galex_maps(g, [sigma]))
+    return _quandles(t, f"GAlex({g.name},{''.join(map(str, sigma.map))})")[0]
 
 
-def _galex_tables(g: FiniteGroup, auts):
-    """Yield (a, t) per chunk of auts, t[i] the table of GAlex(G, auts[a + i]).
-    A chunk holds about _kernels._SLAB / 4 entries: its temporaries are a
-    few arrays its size.  A bijection sigma that is also a homomorphism
-    gives a quandle; any other gets the full check, which may raise."""
+def _galex_maps(g: FiniteGroup, auts):
+    """The maps of auts, bijections of G, as a (k, n) int64 array.  A sigma
+    that is a homomorphism gives a quandle; any other gets the full check
+    of its table, which may raise.  sigma is one iff sigma(x h) =
+    sigma(x) sigma(h) for all x in G and h in a generating set H: x = e
+    gives sigma(e) = e, and induction on word length the rest.  Each h is
+    the least element not yet reached from e by right multiplication by
+    the h before it, and at least doubles the reached subgroup."""
+    rows, gens, reached = g.table.tolist(), [], {g.identity}
+    for x in range(g.order):
+        if x not in reached:
+            gens.append(x)
+            new = reached
+            while new:
+                new = {rows[y][h] for y in new for h in gens} - reached
+                reached |= new
+    m, s = g.table, np.array([a.map for a in auts], dtype=np.int64)
+    ok = (s[:, m[:, gens]] == m[s[:, :, None], s[:, None, gens]]).all(axis=(1, 2))
+    for _, t in _galex_tables(g, s[~ok]):
+        for table in t:
+            validate_quandle(table)
+    return s
+
+
+def _galex_tables(g: FiniteGroup, s):
+    """Yield (a, t) per chunk of the maps s from `_galex_maps`, t[i] the
+    table of GAlex(G, s[a + i]).  A chunk holds about _kernels._SLAB / 4
+    entries: its temporaries are a few arrays its size."""
     m, n = g.table, g.order
     u = m[:, g.inverse]                        # u[x, y] = x * inv(y)
     step = max(1, _kernels._SLAB // (4 * n * n))
-    for a in range(0, len(auts), step):
-        s = np.array([sigma.map for sigma in auts[a:a + step]], dtype=np.int64)
+    for a in range(0, len(s), step):
         # t[i, x, y] = m[s_i(x y^-1), y], at flat index s_i(u[x, y]) n + y
-        t = np.take(m, np.take(s, u, axis=1) * n + np.arange(n))
-        for i in np.flatnonzero(~_homomorphisms(s, m, m)):
-            validate_quandle(t[i])
-        yield a, t
+        yield a, np.take(m, np.take(s[a:a + step], u, axis=1) * n + np.arange(n))
 
 
 def hopf_extension(g: FiniteGroup, n: Subgroup):
@@ -223,16 +242,14 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
     fm = np.asarray(f, dtype=np.int64)
     if fm.min() < 0 or fm.max() >= dst.order:
         raise SizeMismatch("map values out of range for target quandle")
-    return bool(_homomorphisms(fm[None], src.table, dst.table)[0])
+    return bool(_homomorphisms(fm[None], src.table, dst.table[None])[0])
 
 
 def _homomorphisms(f, s, t):
     """Per map f_i of a (k, n) stack, whether f_i(s[i, x, y]) = t[i, f_i(x),
-    f_i(y)] for all x, y; s or t may be one table for every i."""
+    f_i(y)] for all x, y; s may be one table for every i."""
     i = np.arange(len(f))[:, None, None]
-    x, y = f[:, :, None], f[:, None, :]
-    rhs = t[i, x, y] if t.ndim == 3 else t[x, y]
-    return (f[i, s] == rhs).reshape(len(f), -1).all(axis=1)
+    return (f[i, s] == t[i, f[:, :, None], f[:, None, :]]).reshape(len(f), -1).all(axis=1)
 
 
 def invariant_profile(q: FiniteQuandle):

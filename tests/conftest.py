@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from quandlekit.groups import census_catalog, normal_subgroups
+from quandlekit.groups import automorphisms, census_catalog, normal_subgroups
 from quandlekit.quandles import (
     conj_quandle,
     dihedral_quandle,
+    galex,
     hopf_extension,
     relabel,
     restrict,
@@ -109,6 +110,18 @@ def repeated_column_tables():
             k = rng.integers(1, n)
             tables.append(rng.integers(n, size=(n, k))[:, rng.integers(k, size=n)])
     return tables
+
+
+def census_quandles(records):
+    """The quandle of each census record, built apart from the census:
+    `galex` of its catalog group and its automorphism."""
+    groups = {g.name: (g, automorphisms(g))
+              for g in census_catalog(max(r.group_order for r in records))}
+    out = []
+    for r in records:
+        g, auts = groups[r.group_name]
+        out.append(galex(g, auts[r.automorphism_index]))
+    return out
 
 
 def brute_force_colorings(d, q):

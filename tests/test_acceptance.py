@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from conftest import brute_force_colorings
+from conftest import brute_force_colorings, census_quandles
 from quandlekit.criteria import (
     Witness,
     census_galex,
@@ -211,9 +211,10 @@ def test_census_regression():
     """Desk-scale census: deterministic, contains the order-8 quaternion
     non-trefoil-admissible class, every flag cross-checks against the
     solver, and per-order class counts match frozen values."""
-    raw_records, _ = census_galex(16, dedup=False)
+    raw_records = census_galex(16, dedup=False)
     assert len(raw_records) == CENSUS_RAW_RECORDS_MAX16
-    records, quandles = census_galex(16, dedup=True)
+    records = census_galex(16, dedup=True)
+    quandles = census_quandles(records)
     keys = [(r.group_order, r.group_name, r.automorphism_index) for r in records]
     assert keys == sorted(keys)
     assert all(r.isomorphism_class_representative for r in records)

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
 import itertools
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from conftest import census_quandles
 from quandlekit import _kernels, criteria
 from quandlekit.criteria import (
     CensusRecord,
@@ -156,13 +158,13 @@ def _brute_force_isomorphic(a, b):
 
 class TestCensus:
     def test_max_order_1(self):
-        records, _ = census_galex(1)
+        records = census_galex(1)
         assert len(records) == 1
         assert records[0].hopf_admissible and records[0].trefoil_admissible
 
     def test_q8_record_present(self):
-        records, quandles = census_galex(8)
-        bad = [(r, q) for r, q in zip(records, quandles)
+        records = census_galex(8)
+        bad = [(r, q) for r, q in zip(records, census_quandles(records))
                if not r.trefoil_admissible]
         assert bad
         assert all(r.group_name == "quaternion8" for r, _ in bad)
@@ -171,13 +173,14 @@ class TestCensus:
         assert any(isomorphic(q, ref) is not None for _, q in bad)
 
     def test_deterministic_ordering(self):
-        records, _ = census_galex(8)
+        records = census_galex(8)
         keys = [(r.group_order, r.group_name, r.automorphism_index)
                 for r in records]
         assert keys == sorted(keys)
 
     def test_dedup_idempotent(self):
-        records, quandles = census_galex(8, dedup=True)
+        records = census_galex(8, dedup=True)
+        quandles = census_quandles(records)
         again_r, again_q = dedup_by_isomorphism(records, quandles,
                                                 every_element(quandles))
         assert again_r == records
@@ -193,7 +196,8 @@ class TestCensus:
 
         monkeypatch.setattr(criteria, "invariant_profile", counted)
         monkeypatch.setattr(quandles, "invariant_profile", counted)
-        records, qs = census_galex(8)
+        records = census_galex(8)
+        qs = census_quandles(records)
         _, kept_q = dedup_by_isomorphism(records, qs, every_element(qs))
         assert len(calls) == len(qs)
         assert len(kept_q) < len(qs)
@@ -205,81 +209,88 @@ class TestCensus:
     def test_dedup_matches_unmerged_pairwise_dedup(self):
         # The conjugacy merge must keep exactly what pairwise isomorphism
         # search over every raw record keeps.
-        records, quandles = census_galex(12, dedup=True)
-        raw_r, raw_q = census_galex(12)
-        ref_r, ref_q = dedup_by_isomorphism(raw_r, raw_q, every_element(raw_q))
+        records = census_galex(12, dedup=True)
+        raw_r = census_galex(12)
+        raw_q = census_quandles(raw_r)
+        ref_r, _ = dedup_by_isomorphism(raw_r, raw_q, every_element(raw_q))
         assert records == [
             dataclasses.replace(r, isomorphism_class_representative=True)
             for r in ref_r]
-        assert all(a.same_table(b) for a, b in zip(quandles, ref_q))
-        assert len(quandles) == len(ref_q)
 
-    def test_stacked_tables_match_validated_per_map_tables(self):
-        # every raw record up to order 32: its table and inverse table, cut
-        # from its group's stack, equal what the full validator gives for
-        # the table built from its automorphism alone
-        records, quandles = census_galex(32)
+    def test_flags_match_witnesses_on_galex_tables(self):
+        # every raw record up to order 32: galex builds the table that the
+        # full validator accepts for x <| y = sigma(x y^-1) y, and the flags
+        # read off the pairs (d, e) are those of the witness scans over the
+        # whole table; up to order 8 both also match a pure-Python holds_in
+        # scan
+        records = census_galex(32)
         auts = {g.name: (g, automorphisms(g)) for g in census_catalog(32)}
-        for r, q in zip(records, quandles):
+        found = set()
+        for r, q in zip(records, census_quandles(records)):
             g, gauts = auts[r.group_name]
             smap = np.array(gauts[r.automorphism_index].map)
-            # x <| y = sigma(x y^-1) y
             t = g.table[smap[g.table[:, g.inverse]], np.arange(g.order)]
             v = validate_quandle(t)
             assert np.array_equal(q.table, v.table), q.label
             assert np.array_equal(q.inv_table, v.inv_table), q.label
             assert q.label == f"GAlex({g.name},{''.join(map(str, smap))})"
+            for kind, single, flag in (("hopf", hopf_witness, r.hopf_admissible),
+                                       ("trefoil", trefoil_witness, r.trefoil_admissible)):
+                w = single(q)
+                assert flag == (w is None), (q.label, kind)
+                if q.order <= 8:
+                    n = q.order
+                    assert w == next((Witness(x, y, kind) for x in range(n)
+                                      for y in range(n)
+                                      if Witness(x, y, kind).holds_in(q)), None)
+                found.add((kind, flag))
         assert len(records) == 1792
+        assert found == {("hopf", True), ("trefoil", True), ("trefoil", False)}
 
     @pytest.mark.parametrize("slab", [1, 2000])
     def test_chunk_size_does_not_change_the_census(self, slab, monkeypatch):
-        # the census builds and checks its tables in chunks of about
+        # the dedup builds and checks its tables in chunks of about
         # _SLAB / 4 entries: one table per chunk, or a few with chunks
         # ending inside Aut(G) (7 of D4's 8 at 2000), give the same records
-        # and tables
+        # and hand the same tables to the isomorphism search
+        handed = []
+
+        def capture(records, quandles, pins):
+            handed.append(quandles)
+            return dedup(records, quandles, pins)
+
+        dedup = criteria.dedup_by_isomorphism
+        monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
         want = [census_galex(12, dedup=d) for d in (False, True)]
         monkeypatch.setattr(_kernels, "_SLAB", slab)
-        for dedup, (records, quandles) in zip((False, True), want):
-            got_r, got_q = census_galex(12, dedup=dedup)
-            assert got_r == records
-            assert all(a.same_table(b) and np.array_equal(a.inv_table, b.inv_table)
-                       for a, b in zip(got_q, quandles))
-
-    def test_stacked_witnesses_match_holds_in_scan(self):
-        # orders <= 8: the census flags, the stack kernels over all tables
-        # of one order, and the single-table witnesses all give the first
-        # pair in row-major order that a pure-Python holds_in scan finds
-        records, quandles = census_galex(8)
-        by_order = defaultdict(list)
-        for r, q in zip(records, quandles):
-            by_order[q.order].append((r, q))
-        found = set()
-        for n, pairs in by_order.items():
-            stack = np.stack([q.table for _, q in pairs])
-            for kind, scan, single, flag in (
-                    ("hopf", _kernels.hopf_witness_scan, hopf_witness,
-                     "hopf_admissible"),
-                    ("trefoil", _kernels.trefoil_witness_scan, trefoil_witness,
-                     "trefoil_admissible")):
-                want = [next((Witness(x, y, kind) for x in range(n) for y in range(n)
-                              if Witness(x, y, kind).holds_in(q)), None)
-                        for _, q in pairs]
-                assert [h and Witness(*h, kind) for h in scan(stack)] == want
-                assert [single(q) for _, q in pairs] == want
-                assert [getattr(r, flag) for r, _ in pairs] == [w is None for w in want]
-                found.update((kind, w is None) for w in want)
-        assert found == {("hopf", True), ("trefoil", True), ("trefoil", False)}
+        assert [census_galex(12, dedup=d) for d in (False, True)] == want
+        assert len(handed) == 2 and len(handed[0]) == len(handed[1]) > 0
+        assert all(a.same_table(b) and np.array_equal(a.inv_table, b.inv_table)
+                   for a, b in zip(*handed))
 
     def test_right_translations_are_automorphisms(self):
-        # the premise of the census's pin: x -> x g maps GAlex(G, sigma)
-        # onto itself, for every raw record and every g in G
+        # the premise of the census's pin and of its flags from the pairs
+        # (d, e): x -> x g maps GAlex(G, sigma) onto itself, for every raw
+        # record and every g in G
         groups = {g.name: g for g in census_catalog(16)}
-        records, quandles = census_galex(16)
+        records = census_galex(16)
         assert len(records) == 784
-        for r, q in zip(records, quandles):
+        for r, q in zip(records, census_quandles(records)):
             table = groups[r.group_name].table
             for g in range(q.order):
                 assert is_homomorphism(table[:, g], q, q), (q.label, g)
+
+    def test_raw_census_memory_bounded(self):
+        # the raw census keeps no table: at max order 64 (8908 records) it
+        # holds the automorphism maps of one group at a time and the records
+        tracemalloc.start()
+        try:
+            records = census_galex(64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 8908
+        assert peak < 16 * 2 ** 20
 
     def test_identity_pinned_search_agrees_with_isomorphic(self, monkeypatch):
         # the pins census_galex hands to the dedup are {e}; over every pair
@@ -342,7 +353,7 @@ class TestCensus:
     ])
     def test_aut_conjugacy_class_counts(self, spec, classes):
         auts = automorphisms(parse_group_spec(spec))
-        leaders = criteria._aut_class_leaders(auts)
+        leaders = criteria._aut_class_leaders(np.array([a.map for a in auts]))
         assert sum(li == c for c, (li, _) in enumerate(leaders)) == classes
         for c, (li, phi) in enumerate(leaders):
             assert li <= c and leaders[li][0] == li

@@ -38,6 +38,7 @@ from quandlekit.groups import (
     identity_automorphism,
     normal_subgroups,
     parse_group_file,
+    parse_group_spec,
     subgroups,
 )
 from quandlekit.quandles import (
@@ -197,41 +198,15 @@ LOOP_ORACLES = {
 }
 
 
-WITNESS_SCANS = ["hopf_witness_scan", "trefoil_witness_scan"]
-
-
-def _on_table(name):
-    """The kernel on one table; the witness scans take a stack of them."""
-    kernel = getattr(_kernels, name)
-    if name in WITNESS_SCANS:
-        return lambda t: kernel(t[None])[0]
-    return kernel
-
-
 class TestKernelsMatchLoops:
     """Each kernel reports exactly the first hit of the plain row-major
     loop, or None when the loop finds none."""
 
     @pytest.mark.parametrize("name", sorted(LOOP_ORACLES))
     def test_seeded_tables(self, name, seeded_tables):
-        kernel = _on_table(name)
+        kernel = getattr(_kernels, name)
         for t in seeded_tables:
             assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
-
-    @pytest.mark.parametrize("name", WITNESS_SCANS)
-    def test_stack_hits_match_slices(self, name, seeded_tables):
-        # each order's seeded tables as one stack
-        kernel = getattr(_kernels, name)
-        by_order = {}
-        for t in seeded_tables:
-            by_order.setdefault(t.shape[0], []).append(t)
-        hits = set()
-        for ts in by_order.values():
-            want = [LOOP_ORACLES[name](t.tolist()) for t in ts]
-            assert kernel(np.stack(ts)) == want
-            assert [kernel(t[None])[0] for t in ts] == want
-            hits.update(w is not None for w in want)
-        assert hits == {False, True}
 
     # A slab holds max(1, _SLAB // n^2) x-values.  _SLAB = 1 gives one x
     # per slab; _SLAB = 50 gives 3 for n = 4 and 2 for n = 5, so the last
@@ -495,6 +470,49 @@ class TestGalex:
                 if got[0] == "ok":
                     accepted[g.name] = accepted.get(g.name, 0) + 1
         assert accepted == {"symmetric(3)": 10}
+
+
+class TestGeneratorCheck:
+    """`_galex_maps` checks sigma(x h) = sigma(x) sigma(h) on a generating
+    set only, and sends every other bijection to the full table check; the
+    maps it sends there must be exactly those that fail sigma(x y) =
+    sigma(x) sigma(y) over all pairs."""
+
+    @staticmethod
+    def check(g, maps, monkeypatch):
+        sent = []      # GAlex(G, sigma)[x, e] = sigma(x), so a table names its map
+        monkeypatch.setattr(quandles, "validate_quandle",
+                            lambda t: sent.append(tuple(t[:, g.identity].tolist())))
+        s = quandles._galex_maps(g, [GroupAutomorphism(g, m) for m in maps])
+        assert s.tolist() == [list(m) for m in maps]
+        full = quandles._homomorphisms(s, g.table,
+                                       np.broadcast_to(g.table, (len(s),) + g.table.shape))
+        assert sent == [m for m, ok in zip(maps, full) if not ok], g.name
+        return set(full.tolist())
+
+    def test_every_bijection_up_to_order_6(self, monkeypatch):
+        seen = set()
+        for g in census_catalog(6):
+            seen |= self.check(g, list(itertools.permutations(range(g.order))),
+                               monkeypatch)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("spec", [
+        "quaternion8", "cyclic:2*cyclic:2*cyclic:4", "symmetric:4",
+        "alternating:4", "cyclic:2*cyclic:8", "dihedral:24"])
+    def test_automorphisms_and_near_misses(self, spec, monkeypatch):
+        # Aut(G), each automorphism after a random transposition (a
+        # homomorphism only if the swap is), and random bijections
+        rng = np.random.default_rng(20261019)
+        g = parse_group_spec(spec)
+        maps = [a.map for a in automorphisms(g)]
+        for m in maps[:200]:
+            i, j = rng.choice(g.order, 2, replace=False)
+            swap = np.arange(g.order)
+            swap[[i, j]] = swap[[j, i]]
+            maps.append(tuple(np.array(m)[swap].tolist()))
+        maps += [tuple(rng.permutation(g.order).tolist()) for _ in range(100)]
+        assert self.check(g, maps, monkeypatch) == {False, True}
 
 
 def _hopf_extension_loop(g, n):
