@@ -127,9 +127,9 @@ def _galex_maps(g: FiniteGroup, auts):
     that is a homomorphism gives a quandle; any other gets the full check
     of its table, which may raise.  sigma is one iff sigma(x h) =
     sigma(x) sigma(h) for all x in G and h in a generating set H: x = e
-    gives sigma(e) = e, and induction on word length the rest.  Each h is
-    the least element not yet reached from e by right multiplication by
-    the h before it, and at least doubles the reached subgroup."""
+    gives sigma(e) = e, and induction on word length gives the rest.  Each
+    h is the least element not yet reached from e by right multiplication
+    by the h before it, so it at least doubles the subgroup reached."""
     rows, gens, reached = g.table.tolist(), [], {g.identity}
     for x in range(g.order):
         if x not in reached:
