@@ -29,6 +29,9 @@ from quandlekit.groups import (
 )
 from quandlekit.quandles import (
     _any_isomorphism,
+    _galex_maps,
+    _galex_tables,
+    _quandles,
     conj_quandle,
     dihedral_quandle,
     galex,
@@ -217,34 +220,63 @@ class TestCensus:
             dataclasses.replace(r, isomorphism_class_representative=True)
             for r in ref_r]
 
-    def test_flags_match_witnesses_on_galex_tables(self):
-        # every raw record up to order 32: galex builds the table that the
-        # full validator accepts for x <| y = sigma(x y^-1) y, and the flags
-        # read off the pairs (d, e) are those of the witness scans over the
-        # whole table; up to order 8 both also match a pure-Python holds_in
-        # scan
+    def test_stacked_tables_match_validated_per_map_tables(self):
+        # every group up to order 32: the tables the dedup builds for all of
+        # Aut(G) as one stack, and their inverse tables, equal what the full
+        # validator gives for the table built from each automorphism alone,
+        # and the tables galex builds for the raw records
         records = census_galex(32)
-        auts = {g.name: (g, automorphisms(g)) for g in census_catalog(32)}
+        stacks = {}
+        for g in census_catalog(32):
+            auts = automorphisms(g)
+            qs = [q for _, t in _galex_tables(g, _galex_maps(g, auts))
+                  for q in _quandles(t)]
+            assert len(qs) == len(auts)
+            for a, q in zip(auts, qs):
+                smap = np.array(a.map)
+                # x <| y = sigma(x y^-1) y
+                t = g.table[smap[g.table[:, g.inverse]], np.arange(g.order)]
+                v = validate_quandle(t)
+                assert np.array_equal(q.table, v.table), (g.name, a.map)
+                assert np.array_equal(q.inv_table, v.inv_table), (g.name, a.map)
+            stacks[g.name] = (g, qs)
+        for r, q in zip(records, census_quandles(records)):
+            g, qs = stacks[r.group_name]
+            smap = automorphisms(g)[r.automorphism_index].map
+            assert q.same_table(qs[r.automorphism_index]), q.label
+            assert np.array_equal(q.inv_table, qs[r.automorphism_index].inv_table)
+            assert q.label == f"GAlex({g.name},{''.join(map(str, smap))})"
+        assert len(records) == 1792
+
+    def test_flags_match_witnesses_on_galex_tables(self):
+        # every raw record up to order 32: the flags read off the pairs
+        # (d, e) over each group's stack of maps are those of the witness
+        # scans over the whole galex table
+        records = census_galex(32)
         found = set()
         for r, q in zip(records, census_quandles(records)):
-            g, gauts = auts[r.group_name]
-            smap = np.array(gauts[r.automorphism_index].map)
-            t = g.table[smap[g.table[:, g.inverse]], np.arange(g.order)]
-            v = validate_quandle(t)
-            assert np.array_equal(q.table, v.table), q.label
-            assert np.array_equal(q.inv_table, v.inv_table), q.label
-            assert q.label == f"GAlex({g.name},{''.join(map(str, smap))})"
             for kind, single, flag in (("hopf", hopf_witness, r.hopf_admissible),
                                        ("trefoil", trefoil_witness, r.trefoil_admissible)):
-                w = single(q)
-                assert flag == (w is None), (q.label, kind)
-                if q.order <= 8:
-                    n = q.order
-                    assert w == next((Witness(x, y, kind) for x in range(n)
-                                      for y in range(n)
-                                      if Witness(x, y, kind).holds_in(q)), None)
+                assert flag == (single(q) is None), (q.label, kind)
                 found.add((kind, flag))
         assert len(records) == 1792
+        assert found == {("hopf", True), ("trefoil", True), ("trefoil", False)}
+
+    def test_stacked_witnesses_match_holds_in_scan(self):
+        # orders <= 8: the census flags, computed over each group's stack
+        # of maps, and the single-table witnesses all agree with the first
+        # pair in row-major order that a pure-Python holds_in scan finds
+        records = census_galex(8)
+        found = set()
+        for r, q in zip(records, census_quandles(records)):
+            n = q.order
+            for kind, single, flag in (("hopf", hopf_witness, r.hopf_admissible),
+                                       ("trefoil", trefoil_witness, r.trefoil_admissible)):
+                want = next((Witness(x, y, kind) for x in range(n) for y in range(n)
+                             if Witness(x, y, kind).holds_in(q)), None)
+                assert single(q) == want, (q.label, kind)
+                assert flag == (want is None), (q.label, kind)
+                found.add((kind, flag))
         assert found == {("hopf", True), ("trefoil", True), ("trefoil", False)}
 
     @pytest.mark.parametrize("slab", [1, 2000])
