@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import OrderTooLarge
-from .groups import DEFAULT_MAX_ORDER, _search_lists, automorphisms, census_catalog
+from .groups import DEFAULT_MAX_ORDER, automorphisms, census_catalog
 from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
@@ -28,6 +28,7 @@ from .quandles import (
     _homomorphisms,
     _quandles,
     invariant_profile,
+    relabel,
 )
 
 
@@ -160,27 +161,38 @@ def dedup_by_isomorphism(records, quandles, pins):
     """Keep the first record of each quandle isomorphism class.  Quandles
     of one order at a time are bucketed by invariant-profile multiset
     before the isomorphism search, which only asks whether a map exists;
-    only that order's kept quandles hold their search lists.
+    only that order's kept quandles hold their search columns.
 
     pins, aligned with quandles, gives for each B the images of 0 to try,
     a list such that some isomorphism A -> B sends 0 into it whenever one
     exists.  A list of every element of B always is one; `census_galex`
     passes the group identity alone.
+
+    Each kept A is searched from relabelled with its Inn-orbit leaders (the
+    least element of each orbit) first, then the rest, both ascending: the
+    search branches on the least unmapped element, so on one element per
+    orbit before a second one.  0 is a leader and keeps index 0, so the
+    pins stay valid.
     """
     by_order = defaultdict(list)
     for i, q in enumerate(quandles):
         by_order[q.order].append(i)
     keep = []
     for indices in by_order.values():
-        buckets = defaultdict(list)   # profiles -> [(kept quandle, profile, lists)]
+        buckets = defaultdict(list)   # profiles -> [(kept quandle, profile, columns)]
         for i in indices:
             q = quandles[i]
             prof = invariant_profile(q)
             bucket = buckets[tuple(sorted(prof))]
-            lists = _search_lists((q.table, q.inv_table))
-            if all(_any_isomorphism(k, q, pk, prof, pins[i], lk, lists) is None
-                   for k, pk, lk in bucket):
-                bucket.append((q, prof, lists))
+            cols = q.table.T.tolist()
+            if all(_any_isomorphism(k, q, pk, prof, pins[i], ck, cols) is None
+                   for k, pk, ck in bucket):
+                lab, prev = np.arange(q.order), None    # least of each Inn-orbit
+                while not np.array_equal(lab, prev):
+                    lab, prev = lab[q.table].min(axis=1), lab
+                order = np.argsort(lab != np.arange(q.order), kind="stable")
+                k = relabel(q, np.argsort(order))
+                bucket.append((k, [prof[x] for x in order], k.table.T.tolist()))
                 keep.append(i)
     keep.sort()
     return [records[i] for i in keep], [quandles[i] for i in keep]

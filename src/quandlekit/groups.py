@@ -376,39 +376,30 @@ def subgroup_from_elements(g: FiniteGroup, elements):
 MAX_AUTOMORPHISMS = 10**5
 
 
-def _search_lists(tables):
-    """Rows and columns of each table as nested lists, the form that
-    `_list_isomorphisms` searches.  A caller that searches one table many
-    times converts it once."""
-    return [(t.tolist(), t.T.tolist()) for t in tables]
-
-
-def _list_isomorphisms(la, lb, ca, cb, x0, images):
+def _list_isomorphisms(sa, sb, ca, cb, x0, images):
     """Every bijection f with f(x0) in images, colors ca[x] == cb[f(x)], and
-    f(s[x, y]) = t[f(x), f(y)] for each table pair (s, t) of la and lb,
-    given as `_search_lists`: first the maps with f(x0) = images[0], then
-    those with f(x0) = images[1], and so on, each run in lexicographic
-    order of the map.
+    f S_y = S_f(y) f for every y, given the columns sa[y][x] = S_y(x) and sb
+    of the two operation tables (`t.T.tolist()`): first the maps with
+    f(x0) = images[0], then those with f(x0) = images[1], and so on, each
+    run in lexicographic order of the map.
 
     x0, and then the least unmapped x, images ascending, join the branch
-    elements B.  Propagation maps s[y, b] to t[f(y), f(b)] for every mapped
+    elements B.  Propagation maps S_b(y) to S_f(b)(f(y)) for every mapped
     y and b in B; a clash, a reused image or a color mismatch prunes the
-    node.  So a full map commutes with the right action S_b of each b in B,
-    and B generates the source: from e in a group, and through the inverse
-    tables in a quandle.  In a group with f(e) = e this gives
-    f(y b1 ... bk) = f(y) f(b1) ... f(bk).  In a quandle every z is w(b)
-    for a word w in the S_b and their inverses, so S_z = w S_b w^-1 and
-    f S_z = S_f(z) f.  Either way f is a homomorphism.  Positions below
+    node.  So the mapped set D is closed under each S_b, hence under
+    S_b^-1, as S_b permutes the finite set D: the inverse tables would add
+    only implied equations.  Every mapped z is w(b) for some b in B and a
+    word w in the S_b.  In a group this gives f(x b1 ... bk) =
+    f(x) f(b1) ... f(bk); in a quandle S_z = w S_b w^-1, so f S_z =
+    S_f(z) f.  Either way a full map is a homomorphism.  Positions below
     the branch point are fixed, and so is x0, so subtrees of ascending
     images hold ascending maps.
     """
     n = len(ca)
-    ops = [(s, t) for (s, _), (t, _) in zip(la, lb)]
-    cols = [(sc, tc) for (_, sc), (_, tc) in zip(la, lb)]
     ident = list(range(n))
 
     def extend(f, used, branch, queue):
-        # branch holds the column pairs (s[:, b], t[:, f(b)]) of B
+        # branch holds the column pairs (S_b, S_f(b)) of B
         while queue:
             x, u = queue.pop()
             if f[x] == u:
@@ -425,18 +416,15 @@ def _list_isomorphisms(la, lb, ca, cb, x0, images):
         return True
 
     def search(f, used, branch, y, images):
-        # s[z][y] must map to t[f(z)][u]; the rows t[f(z)] do not depend on u
-        rows = [(s[z][y], t[f[z]]) for z in range(n) if f[z] != -1
-                for s, t in ops]
+        sc, mapped = sa[y], [(z, fz) for z, fz in enumerate(f) if fz != -1]
         for u in images:
             if used[u] or cb[u] != ca[y]:
                 continue
-            f2, used2 = f.copy(), used.copy()
+            f2, used2, tc = f.copy(), used.copy(), sb[u]
             # two identity columns (e in a group) constrain nothing
-            branch2 = branch + [(sc[y], tc[u]) for sc, tc in cols
-                                if sc[y] != ident or tc[u] != ident]
+            branch2 = branch + [(sc, tc)] if sc != ident or tc != ident else branch
             # (y, u) last, so it is popped and mapped first
-            queue = [(z, row[u]) for z, row in rows] + [(y, u)]
+            queue = [(sc[z], tc[fz]) for z, fz in mapped] + [(y, u)]
             if not extend(f2, used2, branch2, queue):
                 continue
             if -1 in f2:
@@ -450,11 +438,9 @@ def _list_isomorphisms(la, lb, ca, cb, x0, images):
 def automorphisms(g: FiniteGroup):
     """The full automorphism group, sorted lexicographically by map.
     Raises OrderTooLarge past MAX_AUTOMORPHISMS maps."""
-    orders = g.element_orders()
-    lists = _search_lists((g.table,))
+    orders, cols = g.element_orders(), g.table.T.tolist()
     out = []
-    for m in _list_isomorphisms(lists, lists, orders, orders,
-                                g.identity, [g.identity]):
+    for m in _list_isomorphisms(cols, cols, orders, orders, g.identity, [g.identity]):
         if len(out) == MAX_AUTOMORPHISMS:
             raise OrderTooLarge(
                 f"{g.name} has more than {MAX_AUTOMORPHISMS} automorphisms")

@@ -29,7 +29,6 @@ from .groups import (
     _format_table_file,
     _list_isomorphisms,
     _parse_table_file,
-    _search_lists,
     _square_table,
 )
 
@@ -274,17 +273,18 @@ def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     return _any_isomorphism(a, b, pa, pb, range(b.order))
 
 
-def _any_isomorphism(a, b, pa, pb, images, la=None, lb=None):
+def _any_isomorphism(a, b, pa, pb, images, sa=None, sb=None):
     """The first isomorphism a -> b with f(0) in images, in the order of
     `_list_isomorphisms`, as a map list, or None, given invariant profiles
     equal as multisets.  Every element of b is always a complete list of
     images; a caller that knows a smaller one (see `census_galex`) passes
-    that.  la and lb are the `_search_lists` of the table and inverse table
-    of a and b, converted here unless the caller holds them.  The map found
-    gets the full recheck."""
-    la = _search_lists((a.table, a.inv_table)) if la is None else la
-    lb = _search_lists((b.table, b.inv_table)) if lb is None else lb
-    f = next(_list_isomorphisms(la, lb, pa, pb, 0, images), None)
+    that.  sa and sb are the columns of the operation tables of a and b as
+    nested lists, `table.T.tolist()`, converted here unless the caller
+    holds them; no inverse table is searched.  The map found gets the full
+    recheck."""
+    sa = a.table.T.tolist() if sa is None else sa
+    sb = b.table.T.tolist() if sb is None else sb
+    f = next(_list_isomorphisms(sa, sb, pa, pb, 0, images), None)
     return f if f is not None and is_homomorphism(f, a, b) else None
 
 

@@ -140,16 +140,16 @@ def _colorings(d, q):
     n, k = d.arc_count, q.order
     m = np.zeros((n, 1), dtype=np.int64)
     known = [False] * n
-    touching = [[] for _ in range(n)]
+    touching = {}               # arc -> its crossings, for arcs in one
     for i, c in enumerate(d.crossings):
         for a in {c.over, c.under_in, c.under_out}:
-            touching[a].append(i)
+            touching.setdefault(a, []).append(i)
     pending, work = set(range(len(d.crossings))), []
     low = 0                     # arcs below it are known or in no crossing
 
     def learn(a):
         known[a] = True
-        work.extend(touching[a])
+        work.extend(touching.get(a, ()))
 
     def bound(reps, colors):
         if n * m.shape[1] * reps > MAX_CELLS:
@@ -173,7 +173,7 @@ def _colorings(d, q):
                 m[c.under_in] = back[m[c.under_out], m[c.over]]
                 learn(c.under_in)
             pending.discard(i)
-        while low < n and (known[low] or not touching[low]):
+        while low < n and (known[low] or low not in touching):
             low += 1
         crossings = (d.crossings[i] for i in pending)
         arc = min((c.over for c in crossings if not known[c.over]

@@ -391,12 +391,15 @@ class TestCensusAndCatalog:
          "a0bc8a75d1dddb62cc233e7942adb774e9bcc837fe1349df07efa907ca58b8f9"),
         (("--max-order", "48", "--dedup"),
          "6dbb2d30e920021c0821be0f6f63b4ecb94cddb9187e2a174f7c541a7e67e8d5"),
+        # 1360 rows; the order-54 dihedral(27) pairs need the leaders-first search
+        (("--max-order", "64", "--dedup"),
+         "a06f3df9455f472f74aa8434057ae56df2027882dfee91f4525cf929bfc30da6"),
         (("--max-order", "48"),
          "ca8be30d5d8a772f2b110d50b073237c651ab5aa98a00bd70c106b94b7ac96f0"),
         # 8908 rows; the only census that stacks dihedral(31)'s 930 tables
         (("--max-order", "64"),
          "b7383cc810f98421f708ca59823755c452c089ae46e8143008a0f9383430ba63"),
-    ], ids=["dedup16", "dedup24", "dedup32", "dedup48", "raw48", "raw64"])
+    ], ids=["dedup16", "dedup24", "dedup32", "dedup48", "dedup64", "raw48", "raw64"])
     def test_census_output_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "census", *argv)
         assert (code, err) == (0, "")

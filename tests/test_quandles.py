@@ -27,7 +27,6 @@ from quandlekit.groups import (
     Subgroup,
     _list_isomorphisms,
     _parse_table_file,
-    _search_lists,
     automorphisms,
     catalog,
     census_catalog,
@@ -40,6 +39,7 @@ from quandlekit.groups import (
     parse_group_file,
     parse_group_spec,
     subgroups,
+    validate_group,
 )
 from quandlekit.quandles import (
     conj_quandle,
@@ -762,7 +762,7 @@ class TestPinnedSearch:
 
     @staticmethod
     def lists(q):
-        return _search_lists((q.table, q.inv_table))
+        return q.table.T.tolist()
 
     @pytest.fixture(scope="class")
     def pairs(self, random_quandles):
@@ -919,6 +919,16 @@ class TestQuandleFiles:
         from quandlekit.errors import FileFormatError
         with pytest.raises(FileFormatError, match=message):
             parse_quandle_file(text)
+
+    @pytest.mark.parametrize("build", [
+        lambda: trivial_quandle(0),
+        lambda: dihedral_quandle(0),
+        lambda: validate_quandle(np.zeros((2, 3), dtype=np.int64)),
+        lambda: validate_group(np.zeros((0, 0), dtype=np.int64)),
+    ], ids=["trivial0", "dihedral0", "quandle2x3", "group0x0"])
+    def test_rejects_empty_or_nonsquare_table(self, build):
+        with pytest.raises(FileFormatError, match="table must be a nonempty square matrix"):
+            build()
 
     def test_order_bound(self, hopf1024):
         assert parse_quandle_file(format_quandle_file(hopf1024)).same_table(hopf1024)

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,20 @@ class TestSolver:
         assert enumerate_colorings(d, trivial_quandle(1), "count") == 1
         assert best_seconds(lambda: enumerate_colorings(
             d, trivial_quandle(1), "count")) < 0.5
+
+    def test_free_arcs_hold_no_python_object_each(self):
+        # the arc-to-crossing index holds only arcs in a crossing: 200000
+        # free arcs peak at about 40 B each (a flag, the coloring column and
+        # the free-arc index), where an empty list per arc gave about 100 B
+        n = 200000
+        d = make_diagram(n, 0, 0, [])
+        tracemalloc.start()
+        try:
+            assert enumerate_colorings(d, trivial_quandle(1), "count") == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n
 
     def test_free_arcs_past_the_cell_bound_raise(self):
         # 12 free arcs over R5: 12 x 5^12 cells
