@@ -23,7 +23,6 @@ from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
     _any_isomorphism,
-    _galex_maps,
     _galex_tables,
     _homomorphisms,
     _quandles,
@@ -90,12 +89,12 @@ def census_galex(max_group_order, dedup=False):
     <= max_group_order, in (group order, group name, automorphism index)
     order; with dedup, only the first of each quandle isomorphism class.
 
-    The records come from each group's (|Aut(G)|, n) array of maps, checked
-    on generators by `_galex_maps`.  Every right translation R_g(x) = x g
-    is an automorphism of B = GAlex(G, sigma), as (x g) <| (y g) =
-    sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a witness iff (x y^-1, e)
-    is one: `_galex_admissible` reads the flags off the pairs (d, e), and
-    the raw census builds no table.  Dedup merges each Aut(G)-conjugacy
+    The records come from each group's (|Aut(G)|, n) array of maps, taken
+    unchecked from `automorphisms`, which proves them.  Every right
+    translation R_g(x) = x g is an automorphism of B = GAlex(G, sigma), as
+    (x g) <| (y g) = sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a
+    witness iff (x y^-1, e) is one: `_galex_admissible` reads the flags
+    off the pairs (d, e), and the raw census builds no table.  Dedup merges each Aut(G)-conjugacy
     class, checking the conjugator on the tables, then searches the class
     leaders with f(0) pinned to e: if f: A -> B is an isomorphism, so is
     R_h f with h = f(0)^-1."""
@@ -103,7 +102,7 @@ def census_galex(max_group_order, dedup=False):
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
     records, quandles, pins = [], [], []
     for grp in census_catalog(max_group_order):
-        s = _galex_maps(grp, automorphisms(grp))
+        s = np.array([a.map for a in automorphisms(grp)], dtype=np.int64)
         leaders = _aut_class_leaders(s) if dedup else [(c, None) for c in range(len(s))]
         keep = [c for c, (li, _) in enumerate(leaders) if li == c]
         records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)

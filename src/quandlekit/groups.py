@@ -137,22 +137,26 @@ def validate_group(table, name="group", labels=()):
         raise NotLatinSquare("column", *col)
 
     ar = np.arange(n)
-    hit = _kernels.first_hit((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0))
-    if hit is None:
+    if not ((t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)).any():
         raise NoIdentity()
-    identity, = hit
 
     hit = _kernels.assoc_violation(t)
     if hit:
         raise NotAssociative(*hit)
+    return _group(t, name, labels)
 
+
+def _group(t, name, labels):
+    """The FiniteGroup of a fresh int64 table, frozen, with its identity
+    (the row that is the identity permutation) and inverses.  No axiom is
+    checked: callers pass only tables that a group law built, or that
+    `validate_group` checked."""
+    identity = int(np.argmax((t == np.arange(t.shape[0])).all(axis=1)))
     inverse = np.argmax(t == identity, axis=1)
-    assert (t[inverse, ar] == identity).all()
-
     t.setflags(write=False)
     inverse.setflags(write=False)
-    return FiniteGroup(order=n, table=t, identity=identity, inverse=inverse,
-                       name=name, labels=tuple(labels))
+    return FiniteGroup(order=t.shape[0], table=t, identity=identity,
+                       inverse=inverse, name=name, labels=tuple(labels))
 
 
 # -- catalog families ---------------------------------------------------------
@@ -172,31 +176,29 @@ def _permutation_group(perms, name):
     p = np.array(perms, dtype=np.int64)
     place = p.shape[1] ** np.arange(p.shape[1] - 1, -1, -1)
     t = np.searchsorted(p @ place, p[:, p] @ place)      # p[:, p][a, b] = a*b
-    return validate_group(t, name=name, labels=tuple(map(str, perms)))
+    return _group(t, name, tuple(map(str, perms)))
 
 
 def cyclic_group(n):
     t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return validate_group(t, name=f"cyclic({n})",
-                          labels=tuple(str(i) for i in range(n)))
+    return _group(t, f"cyclic({n})", tuple(str(i) for i in range(n)))
 
 
 def dihedral_group(n):
     labels = tuple(f"r{i}" if b == 0 else f"r{i}s" for b in (0, 1) for i in range(n))
-    return validate_group(_metacyclic(n, 0), name=f"dihedral({n})", labels=labels)
+    return _group(_metacyclic(n, 0), f"dihedral({n})", labels)
 
 
 def quaternion_group():
     # a = i, b = j: the frozen order is a^0, a^2, a, a^3, b, a^2 b, ab, a^3 b
     p = np.array([0, 2, 1, 3, 4, 6, 5, 7])        # an involution
-    return validate_group(p[_metacyclic(4, 2)[np.ix_(p, p)]], name="quaternion8",
-                          labels=("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
+    return _group(p[_metacyclic(4, 2)[np.ix_(p, p)]], "quaternion8",
+                  ("1", "-1", "i", "-i", "j", "-j", "k", "-k"))
 
 
 def generalized_quaternion16():
     labels = tuple(f"a{i}" if j == 0 else f"a{i}b" for j in (0, 1) for i in range(8))
-    return validate_group(_metacyclic(8, 4), name="generalized_quaternion16",
-                          labels=labels)
+    return _group(_metacyclic(8, 4), "generalized_quaternion16", labels)
 
 
 def symmetric_group(n):
@@ -227,7 +229,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup):
          + b.table[None, :, None, :]).reshape(n, n)
     labels = tuple(f"({a.label(xa)},{b.label(xb)})"
                    for xa in range(a.order) for xb in range(b.order))
-    return validate_group(t, name=f"{a.name}x{b.name}", labels=labels)
+    return _group(t, f"{a.name}x{b.name}", labels)
 
 
 # family -> (parameter count, order from the parameters, builder)
@@ -377,11 +379,11 @@ MAX_AUTOMORPHISMS = 10**5
 
 
 def _list_isomorphisms(sa, sb, ca, cb, x0, images):
-    """Every bijection f with f(x0) in images, colors ca[x] == cb[f(x)], and
-    f S_y = S_f(y) f for every y, given the columns sa[y][x] = S_y(x) and sb
-    of the two operation tables (`t.T.tolist()`): first the maps with
-    f(x0) = images[0], then those with f(x0) = images[1], and so on, each
-    run in lexicographic order of the map.
+    """Every bijection f of quandles with f(x0) in images, colors ca[x] ==
+    cb[f(x)], and f S_y = S_f(y) f for every y, given the columns sa[y][x]
+    = S_y(x) and sb of the two operation tables (`t.T.tolist()`): first
+    the maps with f(x0) = images[0], then those with f(x0) = images[1],
+    and so on, each run in lexicographic order of the map.
 
     x0, and then the least unmapped x, images ascending, join the branch
     elements B.  Propagation maps S_b(y) to S_f(b)(f(y)) for every mapped
@@ -389,14 +391,11 @@ def _list_isomorphisms(sa, sb, ca, cb, x0, images):
     node.  So the mapped set D is closed under each S_b, hence under
     S_b^-1, as S_b permutes the finite set D: the inverse tables would add
     only implied equations.  Every mapped z is w(b) for some b in B and a
-    word w in the S_b.  In a group this gives f(x b1 ... bk) =
-    f(x) f(b1) ... f(bk); in a quandle S_z = w S_b w^-1, so f S_z =
-    S_f(z) f.  Either way a full map is a homomorphism.  Positions below
-    the branch point are fixed, and so is x0, so subtrees of ascending
-    images hold ascending maps.
+    word w in the S_b, so S_z = w S_b w^-1 and f S_z = S_f(z) f: a full
+    map is a homomorphism.  Positions below the branch point are fixed,
+    and so is x0, so subtrees of ascending images hold ascending maps.
     """
     n = len(ca)
-    ident = list(range(n))
 
     def extend(f, used, branch, queue):
         # branch holds the column pairs (S_b, S_f(b)) of B
@@ -421,8 +420,7 @@ def _list_isomorphisms(sa, sb, ca, cb, x0, images):
             if used[u] or cb[u] != ca[y]:
                 continue
             f2, used2, tc = f.copy(), used.copy(), sb[u]
-            # two identity columns (e in a group) constrain nothing
-            branch2 = branch + [(sc, tc)] if sc != ident or tc != ident else branch
+            branch2 = branch + [(sc, tc)]
             # (y, u) last, so it is popped and mapped first
             queue = [(sc[z], tc[fz]) for z, fz in mapped] + [(y, u)]
             if not extend(f2, used2, branch2, queue):
@@ -435,17 +433,73 @@ def _list_isomorphisms(sa, sb, ca, cb, x0, images):
     yield from search([-1] * n, [False] * n, [], x0, images)
 
 
+def _generation(g: FiniteGroup):
+    """(seq, stages) for the greedy generating sequence of G: h_j is the
+    least element outside H_(j-1) = <h_1, ..., h_(j-1)>.  seq lists e, then
+    per j the elements of H_j - H_(j-1), h_j first; stages[j - 1] =
+    (|H_(j-1)|, |H_j|, layers), so h_j = seq[|H_(j-1)|].  Each layer (i, y,
+    w) appends seq[i:] = seq[y] seq[w], ascending, every new product of
+    two elements reached so far, so the reached set R grows to R R."""
+    m, n = g.table, g.order
+    seq, stages, reached = np.array([g.identity]), [], np.zeros(n, dtype=bool)
+    reached[g.identity] = True
+    while not reached.all():
+        k, h = seq.size, int(np.argmin(reached))
+        seq, layers = np.append(seq, h), []
+        reached[h] = True
+        while True:
+            src = np.full(n, -1)            # a pair (y, w) per product
+            src[m[seq[:, None], seq].ravel()] = np.arange(seq.size ** 2)
+            new = np.flatnonzero((src >= 0) & ~reached)
+            if not new.size:
+                break
+            layers.append((seq.size, *np.divmod(src[new], seq.size)))
+            reached[new] = True
+            seq = np.append(seq, new)
+        stages.append((k, seq.size, layers))
+    return seq, stages
+
+
 def automorphisms(g: FiniteGroup):
     """The full automorphism group, sorted lexicographically by map.
-    Raises OrderTooLarge past MAX_AUTOMORPHISMS maps."""
-    orders, cols = g.element_orders(), g.table.T.tolist()
-    out = []
-    for m in _list_isomorphisms(cols, cols, orders, orders, g.identity, [g.identity]):
-        if len(out) == MAX_AUTOMORPHISMS:
-            raise OrderTooLarge(
-                f"{g.name} has more than {MAX_AUTOMORPHISMS} automorphisms")
-        out.append(GroupAutomorphism(g, tuple(m)))
-    return out
+
+    Stage j extends each injective homomorphism H_(j-1) -> G (see
+    `_generation`) by every image of h_j of the same element order, fills
+    H_j by f(y w) = f(y) f(w) one layer at a time, and keeps the rows with
+    f(x h_i) = f(x) f(h_i) for all x in H_j and i <= j and f(x) = e only
+    for x = e: by induction on word length such an f is a homomorphism on
+    H_j with trivial kernel, and at H_j = G an automorphism.  Rows are
+    expanded in chunks of about _kernels._SLAB entries.  Raises
+    OrderTooLarge once a stage keeps more than MAX_AUTOMORPHISMS rows: at
+    the last stage automorphisms, at an earlier one partial maps, which
+    may outnumber Aut(G)."""
+    m, n, e = g.table, g.order, g.identity
+    orders = np.array(g.element_orders())
+    seq, stages = _generation(g)
+    pos, f, hs = np.argsort(seq), np.full((1, 1), e), []    # f[i]: map i on seq
+    for k, end, layers in stages:
+        hs.append(k)                                    # the h_i in seq
+        c = pos[m[seq[:end, None], seq[hs]]]            # x h_i in seq
+        cand = np.flatnonzero(orders == orders[seq[k]])
+        step, rows = max(1, _kernels._SLAB // (end * len(hs))), len(f) * cand.size
+        kept, count = [], 0
+        for r0 in range(0, rows, step):     # row r: f[r // |cand|], cand[r % |cand|]
+            r, i = np.divmod(np.arange(r0, min(r0 + step, rows)), cand.size)
+            x = np.empty((r.size, end), dtype=np.int64)
+            x[:, :k], x[:, k] = f[r], cand[i]
+            for col, y, w in layers:
+                x[:, col:col + y.size] = np.take(m, x[:, y] * n + x[:, w])
+            hom = np.take(m, x[:, :, None] * n + x[:, None, hs]) == x[:, c]
+            kept.append(x[hom.all(axis=(1, 2)) & (x[:, k:] != e).all(axis=1)])
+            count += len(kept[-1])
+            if count > MAX_AUTOMORPHISMS:
+                what = "automorphisms" if end == n else (
+                    f"partial automorphisms, on its order-{end} subgroup")
+                raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
+        f = np.concatenate(kept)
+    maps = f[:, pos]
+    return [GroupAutomorphism(g, tuple(row))
+            for row in maps[np.lexsort(maps.T[::-1])].tolist()]
 
 
 def identity_automorphism(g: FiniteGroup):

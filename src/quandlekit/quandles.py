@@ -27,6 +27,7 @@ from .groups import (
     _closure,
     _first_repeat,
     _format_table_file,
+    _generation,
     _list_isomorphisms,
     _parse_table_file,
     _square_table,
@@ -126,17 +127,11 @@ def _galex_maps(g: FiniteGroup, auts):
     that is a homomorphism gives a quandle; any other gets the full check
     of its table, which may raise.  sigma is one iff sigma(x h) =
     sigma(x) sigma(h) for all x in G and h in a generating set H: x = e
-    gives sigma(e) = e, and induction on word length gives the rest.  Each
-    h is the least element not yet reached from e by right multiplication
-    by the h before it, so it at least doubles the subgroup reached."""
-    rows, gens, reached = g.table.tolist(), [], {g.identity}
-    for x in range(g.order):
-        if x not in reached:
-            gens.append(x)
-            new = reached
-            while new:
-                new = {rows[y][h] for y in new for h in gens} - reached
-                reached |= new
+    gives sigma(e) = e, and induction on word length gives the rest.  H is
+    the greedy generating sequence of `groups._generation`, at most
+    log2 |G| elements."""
+    seq, stages = _generation(g)
+    gens = seq[[k for k, _, _ in stages]]
     m, s = g.table, np.array([a.map for a in auts], dtype=np.int64)
     ok = (s[:, m[:, gens]] == m[s[:, :, None], s[:, None, gens]]).all(axis=(1, 2))
     for _, t in _galex_tables(g, s[~ok]):

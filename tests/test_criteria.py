@@ -284,7 +284,8 @@ class TestCensus:
         # the dedup builds and checks its tables in chunks of about
         # _SLAB / 4 entries: one table per chunk, or a few with chunks
         # ending inside Aut(G) (7 of D4's 8 at 2000), give the same records
-        # and hand the same tables to the isomorphism search
+        # and hand the same tables to the isomorphism search; automorphisms
+        # expands its candidate rows in chunks of about _SLAB entries too
         handed = []
 
         def capture(records, quandles, pins):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,11 @@ from quandlekit.errors import (
     UnknownFamily,
 )
 from quandlekit.groups import (
+    CENSUS_SPECS,
+    DEFAULT_MAX_ORDER,
+    FAMILIES,
     GroupAutomorphism,
+    _list_isomorphisms,
     Subgroup,
     automorphisms,
     catalog,
@@ -241,6 +246,23 @@ class TestCatalog:
         with pytest.raises(UnknownFamily, match=f"^{message}$"):
             build()
 
+    def test_built_without_validation_as_validated(self):
+        # the catalog builders skip validate_group: each group they build
+        # equals the validator's group of its table, and is frozen
+        built = [parse_group_spec(spec) for _, spec in CENSUS_SPECS]
+        for name, (arity, order, _) in FAMILIES.items():
+            for params in itertools.product(range(1, DEFAULT_MAX_ORDER + 1), repeat=arity):
+                if order(*params) <= DEFAULT_MAX_ORDER and (
+                        name != "alternating" or params == (4,)):
+                    built.append(catalog(name, *params))
+        assert len(built) == 106 + 103
+        for g in built:
+            v = validate_group(g.table)
+            assert np.array_equal(g.table, v.table), g.name
+            assert g.identity == v.identity, g.name
+            assert np.array_equal(g.inverse, v.inverse), g.name
+            assert not g.table.flags.writeable and not g.inverse.flags.writeable
+
     def test_parse_group_spec(self):
         assert parse_group_spec("cyclic:6").order == 6
         assert parse_group_spec("cyclic:2*cyclic:4").order == 8
@@ -387,6 +409,49 @@ class TestAutomorphisms:
         assert len(automorphisms(catalog("symmetric", 4))) == 24
         monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 168)
         assert len(automorphisms(z2cubed)) == 168
+
+    def test_matches_bijection_search(self):
+        """The quandle isomorphism search, which also finds the maps that
+        commute with every column of a group table, as the oracle: the
+        same automorphisms in the same order."""
+        gs = census_catalog(64) + [
+            self.identity_last(parse_group_spec("symmetric:3")),
+            self.identity_last(parse_group_spec("quaternion8")),
+            parse_group_spec("cyclic:2*cyclic:2*cyclic:2*cyclic:2")]
+        for g in gs:
+            cols, orders = g.table.T.tolist(), g.element_orders()
+            search = _list_isomorphisms(cols, cols, orders, orders, g.identity,
+                                        [g.identity])
+            assert [a.map for a in automorphisms(g)] == list(map(tuple, search)), g.name
+
+    def test_no_census_stage_passes_the_final_count(self, monkeypatch):
+        # partial maps never outnumber Aut(G) in the census catalog, so a
+        # cap of |Aut(G)| raises for none of its groups
+        for g in census_catalog(64):
+            count = len(automorphisms(g))
+            monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", count)
+            assert len(automorphisms(g)) == count
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("k, peak_mb", [(5, 37.4), (6, 61.9)])
+    def test_cap_bounds_time_and_memory(self, k, peak_mb):
+        # (Z2)^k, |Aut| = |GL(k, 2)|: the partial maps pass the cap before
+        # the last stage.  peak_mb is the traced peak of the one-element-at-
+        # a-time bijection search that automorphisms used before.
+        ar = np.arange(2 ** k)
+        g = validate_group(ar[:, None] ^ ar)
+        t = time.process_time()
+        with pytest.raises(OrderTooLarge, match="more than 100000 partial automorphisms"):
+            automorphisms(g)
+        assert time.process_time() - t < 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge):
+                automorphisms(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= peak_mb * 2 ** 20
 
     @pytest.mark.parametrize("m", [(0, 0, 0), (0, 1), (0, 1, 3)])
     def test_map_must_be_a_permutation(self, m):
