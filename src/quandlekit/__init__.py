@@ -4,7 +4,6 @@ non-admissibility criteria."""
 from ._kernels import BACKEND
 from .groups import (
     FiniteGroup,
-    GroupAutomorphism,
     Subgroup,
     automorphisms,
     catalog,
@@ -47,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "FiniteGroup", "GroupAutomorphism", "Subgroup",
+    "FiniteGroup", "Subgroup",
     "validate_group", "catalog", "automorphisms", "subgroups",
     "normal_subgroups", "center",
     "FiniteQuandle", "validate_quandle", "trivial_quandle", "dihedral_quandle",

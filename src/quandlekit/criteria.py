@@ -102,7 +102,7 @@ def census_galex(max_group_order, dedup=False):
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
     records, quandles, pins = [], [], []
     for grp in census_catalog(max_group_order):
-        s = np.array([a.map for a in automorphisms(grp)], dtype=np.int64)
+        s = automorphisms(grp)
         leaders = _aut_class_leaders(s) if dedup else [(c, None) for c in range(len(s))]
         keep = [c for c, (li, _) in enumerate(leaders) if li == c]
         records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)

@@ -18,7 +18,7 @@ import itertools
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,17 +66,6 @@ class FiniteGroup:
 
     def same_table(self, other):
         return self.order == other.order and np.array_equal(self.table, other.table)
-
-
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    group: FiniteGroup
-    map: tuple
-
-    def __post_init__(self):
-        n = self.group.order
-        if len(self.map) != n or sorted(self.map) != list(range(n)):
-            raise ValueError("map is not a permutation of the group elements")
 
 
 @dataclass(frozen=True)
@@ -461,7 +450,9 @@ def _generation(g: FiniteGroup):
 
 
 def automorphisms(g: FiniteGroup):
-    """The full automorphism group, sorted lexicographically by map.
+    """Aut(G) as a read-only (|Aut(G)|, n) int64 array: row r is the map
+    x -> row[x] of one automorphism, and the rows are sorted
+    lexicographically.
 
     Stage j extends each injective homomorphism H_(j-1) -> G (see
     `_generation`) by every image of h_j of the same element order, fills
@@ -498,12 +489,9 @@ def automorphisms(g: FiniteGroup):
                 raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
         f = np.concatenate(kept)
     maps = f[:, pos]
-    return [GroupAutomorphism(g, tuple(row))
-            for row in maps[np.lexsort(maps.T[::-1])].tolist()]
-
-
-def identity_automorphism(g: FiniteGroup):
-    return GroupAutomorphism(g, tuple(range(g.order)))
+    maps = maps[np.lexsort(maps.T[::-1])]
+    maps.setflags(write=False)
+    return maps
 
 
 # -- file format --------------------------------------------------------------

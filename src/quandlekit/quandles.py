@@ -22,12 +22,11 @@ from .errors import (
     OrderTooLarge,
     SizeMismatch,
 )
-from .groups import MAX_TABLE_ORDER, FiniteGroup, GroupAutomorphism, Subgroup
+from .groups import MAX_TABLE_ORDER, FiniteGroup, Subgroup
 from .groups import (
     _closure,
     _first_repeat,
     _format_table_file,
-    _generation,
     _list_isomorphisms,
     _parse_table_file,
     _square_table,
@@ -114,36 +113,27 @@ def conj_quandle(g: FiniteGroup):
     return _quandle(t, f"Conj({g.name})")
 
 
-def galex(g: FiniteGroup, sigma: GroupAutomorphism):
-    """Generalized Alexander quandle: x <| y = sigma(x y^-1) y."""
-    if sigma.group is not g and not sigma.group.same_table(g):
-        raise AutomorphismMismatch("automorphism is not over the given group")
-    (_, t), = _galex_tables(g, _galex_maps(g, [sigma]))
-    return _quandles(t, f"GAlex({g.name},{''.join(map(str, sigma.map))})")[0]
-
-
-def _galex_maps(g: FiniteGroup, auts):
-    """The maps of auts, bijections of G, as a (k, n) int64 array.  A sigma
-    that is a homomorphism gives a quandle; any other gets the full check
-    of its table, which may raise.  sigma is one iff sigma(x h) =
-    sigma(x) sigma(h) for all x in G and h in a generating set H: x = e
-    gives sigma(e) = e, and induction on word length gives the rest.  H is
-    the greedy generating sequence of `groups._generation`, at most
-    log2 |G| elements."""
-    seq, stages = _generation(g)
-    gens = seq[[k for k, _, _ in stages]]
-    m, s = g.table, np.array([a.map for a in auts], dtype=np.int64)
-    ok = (s[:, m[:, gens]] == m[s[:, :, None], s[:, None, gens]]).all(axis=(1, 2))
-    for _, t in _galex_tables(g, s[~ok]):
-        for table in t:
-            validate_quandle(table)
-    return s
+def galex(g: FiniteGroup, sigma):
+    """Generalized Alexander quandle: x <| y = sigma(x y^-1) y, for sigma a
+    sequence of the n element indices, such as a row of `automorphisms(g)`.
+    An automorphism of G gives a quandle; any other bijection gets the full
+    check of its table, which may raise."""
+    s = np.asarray(sigma)
+    if s.shape != (g.order,):
+        raise AutomorphismMismatch("map length does not match the group order")
+    if not np.array_equal(np.sort(s), np.arange(g.order)):
+        raise ValueError("map is not a permutation of the group elements")
+    s = s.astype(np.int64)      # after the check: the cast truncates 1.5 to 1
+    (_, t), = _galex_tables(g, s[None])
+    if not _homomorphisms(s[None], g.table, g.table[None])[0]:
+        validate_quandle(t[0])
+    return _quandles(t, f"GAlex({g.name},{''.join(map(str, s.tolist()))})")[0]
 
 
 def _galex_tables(g: FiniteGroup, s):
-    """Yield (a, t) per chunk of the maps s from `_galex_maps`, t[i] the
-    table of GAlex(G, s[a + i]).  A chunk holds about _kernels._SLAB / 4
-    entries: its temporaries are a few arrays its size."""
+    """Yield (a, t) per chunk of the (k, n) array of maps s, t[i] the table
+    of GAlex(G, s[a + i]).  A chunk holds about _kernels._SLAB / 4 entries:
+    its temporaries are a few arrays its size."""
     m, n = g.table, g.order
     u = m[:, g.inverse]                        # u[x, y] = x * inv(y)
     step = max(1, _kernels._SLAB // (4 * n * n))

@@ -145,7 +145,8 @@ def _colorings(d, q):
         for a in {c.over, c.under_in, c.under_out}:
             touching.setdefault(a, []).append(i)
     pending, work = set(range(len(d.crossings))), []
-    low = 0                     # arcs below it are known or in no crossing
+    crossed = sorted(touching)
+    low = 0                     # the arcs crossed[:low] are known
 
     def learn(a):
         known[a] = True
@@ -173,12 +174,12 @@ def _colorings(d, q):
                 m[c.under_in] = back[m[c.under_out], m[c.over]]
                 learn(c.under_in)
             pending.discard(i)
-        while low < n and (known[low] or low not in touching):
+        while low < len(crossed) and known[crossed[low]]:
             low += 1
         crossings = (d.crossings[i] for i in pending)
         arc = min((c.over for c in crossings if not known[c.over]
                    and (known[c.under_in] or known[c.under_out])),
-                  default=low if low < n else None)
+                  default=crossed[low] if low < len(crossed) else None)
         cols = m.shape[1]
         if arc is None or cols == 0:
             break
@@ -186,8 +187,8 @@ def _colorings(d, q):
         m = np.repeat(m, k, axis=1)
         m[arc] = np.tile(np.arange(k), cols)
         learn(arc)
-    if cols and not all(known):     # the arcs of no crossing are all unknown
-        free = np.flatnonzero(np.logical_not(known))
+    if cols and len(crossed) < n:       # the arcs of no crossing are all unknown
+        free = np.setdiff1d(np.arange(n), crossed, assume_unique=True)
         # combination j gives free[i] digit i of j in base k; reps is
         # k^len(free) exactly unless the bound is passed anyway
         reps = k ** min(len(free), MAX_CELLS.bit_length())

@@ -80,7 +80,7 @@ def test_galex_q8_trefoil_reproduction():
     exact witness x=1 (index 0), y=i (index 2), both via the closed-form
     predicate and via the tangle solver."""
     g = catalog("quaternion8")
-    sigma = next(a for a in automorphisms(g) if a.map == (0, 1, 4, 5, 6, 7, 2, 3))
+    sigma = next(a for a in automorphisms(g) if a.tolist() == [0, 1, 4, 5, 6, 7, 2, 3])
     q = galex(g, sigma)
     w = trefoil_witness(q)
     assert (w.x, w.y) == (0, 2)
@@ -100,7 +100,7 @@ def test_galex_hopf_admissible_everywhere(galex_pool_16):
     """No generalized Alexander quandle over the catalog (|G| <= 16) has
     a Hopf-link witness."""
     for g, aut, q in galex_pool_16:
-        assert hopf_witness(q) is None, (g.name, aut.map)
+        assert hopf_witness(q) is None, (g.name, aut.tolist())
     print(f"\nPASS hopf predicate admissible on all {len(galex_pool_16)} "
           "GAlex quandles (|G| <= 16)")
 

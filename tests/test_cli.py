@@ -37,7 +37,7 @@ def r3_file(tmp_path):
 @pytest.fixture
 def galex_q8_file(tmp_path):
     g = catalog("quaternion8")
-    sigma = next(a for a in automorphisms(g) if a.map == (0, 1, 4, 5, 6, 7, 2, 3))
+    sigma = next(a for a in automorphisms(g) if a.tolist() == [0, 1, 4, 5, 6, 7, 2, 3])
     p = tmp_path / "galex-q8-sigma.qdl"
     p.write_text(format_quandle_file(galex(g, sigma)))
     return str(p)
@@ -163,7 +163,7 @@ class TestConstruct:
         g = catalog("quaternion8")
         auts = automorphisms(g)
         idx = next(i for i, a in enumerate(auts)
-                   if a.map == (0, 1, 4, 5, 6, 7, 2, 3))
+                   if a.tolist() == [0, 1, 4, 5, 6, 7, 2, 3])
         code, out, _ = run(capsys, "construct", "galex",
                            "--group", "quaternion8", "--aut", str(idx))
         assert code == 0
@@ -269,6 +269,11 @@ class TestConstruct:
 ])
 def test_usage_and_range_errors(capsys, argv, code, err):
     assert run(capsys, *argv) == (code, "", err + "\n")
+
+
+def test_public_names_resolve():
+    for name in quandlekit.__all__:
+        assert hasattr(quandlekit, name), name
 
 
 def test_help_is_0(capsys):

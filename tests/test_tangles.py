@@ -348,6 +348,18 @@ class TestSolver:
             tracemalloc.stop()
         assert peak < 64 * n
 
+    def test_200000_free_arcs_traced_under_0_3_cpu_seconds(self):
+        # the branch pointer walks only the arcs in a crossing, and the free
+        # arcs come from one array operation, not a Python step per arc
+        d = make_diagram(200000, 0, 0, [])
+        tracemalloc.start()
+        try:
+            t = time.process_time()
+            assert enumerate_colorings(d, trivial_quandle(1), "count") == 1
+            assert time.process_time() - t < 0.3
+        finally:
+            tracemalloc.stop()
+
     def test_free_arcs_past_the_cell_bound_raise(self):
         # 12 free arcs over R5: 12 x 5^12 cells
         d = parse_tangle("arcs 12\nstart 0\nend 0\n")
@@ -392,7 +404,7 @@ class TestSolver:
     def test_galex_q8_trefoil_witness(self):
         g = catalog("quaternion8")
         sigma = next(a for a in automorphisms(g)
-                     if a.map == (0, 1, 4, 5, 6, 7, 2, 3))
+                     if a.tolist() == [0, 1, 4, 5, 6, 7, 2, 3])
         q = galex(g, sigma)
         v = enumerate_colorings(builtin_tangle("trefoil"), q, "admissibility")
         assert not v.admissible
