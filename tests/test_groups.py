@@ -8,6 +8,7 @@ import pytest
 
 from quandlekit import _kernels, groups
 from quandlekit.errors import (
+    AutomorphismMismatch,
     FileFormatError,
     GroupValidationError,
     NoIdentity,
@@ -38,6 +39,7 @@ from quandlekit.groups import (
     subgroups,
     validate_group,
 )
+from quandlekit.quandles import galex
 
 
 def z_table(n):
@@ -408,6 +410,16 @@ class TestAutomorphisms:
         assert len(automorphisms(catalog("symmetric", 4))) == 24
         monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 168)
         assert len(automorphisms(z2cubed)) == 168
+
+    @pytest.mark.parametrize("m, error, match", [
+        pytest.param((0, 0, 0), ValueError, "not a permutation", id="m0"),
+        pytest.param((0, 1), AutomorphismMismatch, "does not match", id="m1"),
+        pytest.param((0, 1, 3), ValueError, "not a permutation", id="m2")])
+    def test_map_must_be_a_permutation(self, m, error, match):
+        """A map taken as an automorphism of G must be a permutation of its
+        elements; galex is where a caller's map comes in."""
+        with pytest.raises(error, match=match):
+            galex(cyclic_group(3), m)
 
     def test_matches_bijection_search(self):
         """The quandle isomorphism search, which also finds the maps that
