@@ -18,34 +18,56 @@ def first_hit(mask):
     return tuple(int(v) for v in np.unravel_index(i, mask.shape)) if mask.flat[i] else None
 
 
-# Cube entries per x-slab of the n^3 scans (about 0.5 MB per int64 array).
-# A slab holds at least one x, so with k distinct columns memory is
-# O(n * k * max(1, _SLAB / (n * k))).
+# Cube entries per x-slab of the cube scans (about 0.5 MB per int64 array).
+# A slab holds at least one x, so with k distinct columns the scans hold
+# O(n * k * max(1, _SLAB / (n * k))) entries and the certificate
+# O(k^2 * max(1, _SLAB / k^2)).
 _SLAB = 1 << 16
 
+# Weights of the column hash: the powers of an odd 64-bit constant, which
+# wrap mod 2^64.  Any weights are sound: _column_classes checks the classes
+# they give and falls back to one class per column when two differ.
+_HASH_WEIGHTS = np.cumprod(np.full(1024, 0x5851F42D4C957F2D, dtype=np.int64))
 
-def _first_cube_mismatch(table, offsets):
+
+def _column_classes(table):
+    """(reps, rep): rep[y] is the least y' with t[:, y'] == t[:, y], and
+    reps the ascending indices with rep[y] == y, one per distinct column.
+    One matmul hashes the columns; in a stable argsort the first of equal
+    hashes is the least index.  One n^2 compare checks the classes when a
+    hash repeats, and on a collision every column is its own class, which
+    every caller accepts: they need only equal columns within a class.
+    """
+    n = table.shape[0]
+    w = _HASH_WEIGHTS[:n] if n <= _HASH_WEIGHTS.size else np.resize(_HASH_WEIGHTS, n)
+    h = w @ table                                        # h[y] hashes t[:, y]
+    order = h.argsort(kind="stable")
+    rep = order[h[order].searchsorted(h)]
+    ar = np.arange(n)
+    reps = (rep == ar).nonzero()[0]
+    if reps.size < n and not (table == table.take(rep, axis=1)).all():
+        return ar, ar
+    return reps, rep
+
+
+def _first_cube_mismatch(table, offsets, zs):
     """First (x, y, z) in row-major order with
     t[t[x,y], z] != t.flat[offsets[x, :, z] + t[y,z]], else None.
 
-    `offsets` is (n, 1, n), or (n, 1, 1) when it does not depend on z.
+    `offsets` is (n, 1, n), or (n, 1, 1) when it does not depend on z, and
+    `zs` the ascending least z of each distinct column (`_column_classes`).
     Column c = t[:, z] decides z's part of the cube: lhs = c[t[x,y]] and
     the rhs of both axioms is t[c[x], c[y]] (self-distributivity) or
     t[x, c[y]] (associativity, offsets[x] = x * n).  So z and z' with equal
-    columns fail at the same (x, y).  The scan visits only the least z of
-    each distinct column, in increasing order.  Every bad z has a bad
-    representative no larger than itself, so the first (x, y) with a bad z
-    is the first with a bad representative, and its least bad z is the
-    least bad representative.  Slabs of consecutive x, at most _SLAB
-    entries each, are scanned in increasing order and the scan stops at
-    the first slab with a mismatch.
+    columns fail at the same (x, y).  The scan visits only the zs, in
+    increasing order.  Every bad z has a bad representative no larger than
+    itself, so the first (x, y) with a bad z is the first with a bad
+    representative, and its least bad z is the least bad representative.
+    Slabs of consecutive x, at most _SLAB entries each, are scanned in
+    increasing order and the scan stops at the first slab with a mismatch.
     """
     n = table.shape[0]
     flat = table.ravel()
-    cols = np.ascontiguousarray(table.T)      # one byte string per column
-    _, first = np.unique(cols.view(np.dtype((np.void, cols.itemsize * n))),
-                         return_index=True)
-    zs = np.sort(first)
     tz = table[:, zs]
     if offsets.shape[2] != 1:
         offsets = offsets[:, :, zs]
@@ -61,16 +83,57 @@ def _first_cube_mismatch(table, offsets):
     return None
 
 
+def _self_distrib_certified(table, reps, rep):
+    """True only if t[t[x,y],z] == t[t[x,z],t[y,z]] for all x, y, z, in
+    O(n k^2) work for k distinct columns, not the scan's O(n^2 k).
+
+    Write S_y for column y, the map x -> t[x,y].  The axiom for (y, z) is
+    S_z S_y = S_{y<|z} S_z, which depends on z only through S_z, so take z
+    a representative.  Let r = rep[y], so S_y = S_r.  Then
+    S_z S_y = S_z S_r = S_{r<|z} S_z by the axiom for (r, z), and this is
+    S_{y<|z} S_z when y<|z and r<|z have the same column.  So it suffices
+    that rep[t[y,z]] == rep[t[rep[y],z]] for every y and representative z
+    (the class check, n k entries) and that the axiom holds for every x and
+    every pair of representatives (n k^2 entries, in x-slabs of at most
+    max(_SLAB, k^2)).  No column need be a bijection, so a pass always
+    means the axiom holds; on a quandle both checks pass (the class check
+    because S_z is invertible).
+    """
+    n = table.shape[0]
+    tz = table.take(reps, axis=1)                        # t[y, z], z a rep
+    cls = rep[tz]
+    if not (cls == cls[rep]).all():
+        return False
+    flat = table.ravel()
+    rz = tz[reps]                                        # t[r, z]
+    xz = (tz * n)[:, None, :]                            # t[x, z] * n
+    step = max(1, _SLAB // (reps.size * reps.size))
+    for x0 in range(0, n, step):
+        xs = slice(x0, x0 + step)
+        lhs = tz.take(tz[xs], axis=0)                    # t[t[x,r], z]
+        if not (lhs == flat.take(xz[xs] + rz)).all():
+            return False
+    return True
+
+
 def assoc_violation(table):
     """First (i, j, k) with (i*j)*k != i*(j*k), else None."""
     n = table.shape[0]                  # i*(j*k) = t.flat[i*n + t[j,k]]
-    return _first_cube_mismatch(table, (np.arange(n) * n)[:, None, None])
+    zs, _ = _column_classes(table)
+    return _first_cube_mismatch(table, (np.arange(n) * n)[:, None, None], zs)
 
 
 def self_distrib_violation(table):
-    """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z), else None."""
+    """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z), else None.
+    A table that passes `_self_distrib_certified` has none; any other gets
+    the scan, which reports the first violation.  With all columns distinct
+    the certificate's representative check is the scan itself, so it is
+    skipped."""
     n = table.shape[0]        # (x<|z)<|(y<|z) = t.flat[t[x,z]*n + t[y,z]]
-    return _first_cube_mismatch(table, (table * n)[:, None, :])
+    reps, rep = _column_classes(table)
+    if reps.size < n and _self_distrib_certified(table, reps, rep):
+        return None
+    return _first_cube_mismatch(table, (table * n)[:, None, :], reps)
 
 
 def hopf_witness_scan(table):

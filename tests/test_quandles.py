@@ -237,7 +237,8 @@ class TestKernelsMatchLoops:
     def test_order_1024_hopf_extension_under_3_seconds(self, hopf1024):
         # 1024 columns but only 32 distinct ones: column y of HopfExt(G, N)
         # depends on phi(y) alone.  A scan of all n^3 triples takes about
-        # 8.5 s on a 2-vCPU Xeon, the distinct columns about 0.2 s.
+        # 8.5 s on a 2-vCPU Xeon, the distinct columns about 0.2 s and the
+        # column-class certificate about 0.02 s.
         start = time.perf_counter()
         assert _kernels.self_distrib_violation(hopf1024.table) is None
         assert time.perf_counter() - start < 3
@@ -275,6 +276,105 @@ class TestKernelsMatchLoops:
         # i - j mod 3: (0-0)-1 = 2 but 0-(0-1) = 1
         t = np.array([[(i - j) % 3 for j in range(3)] for i in range(3)])
         assert _kernels.assoc_violation(t) == (0, 0, 1)
+
+
+def _columns_loop(t):
+    """rep[y]: the least y' whose column equals column y, by comparing
+    column byte strings."""
+    first = {}
+    cols = [np.ascontiguousarray(t[:, y]).tobytes() for y in range(t.shape[0])]
+    return [first.setdefault(c, y) for y, c in enumerate(cols)]
+
+
+def _certified(t):
+    reps, rep = _kernels._column_classes(t)
+    return _kernels._self_distrib_certified(t, reps, rep)
+
+
+class TestSelfDistribCertificate:
+    """`_self_distrib_certified` against the row-major loop: it passes only
+    on self-distributive tables, on every one whose columns are bijections,
+    and the kernel's first hit is the loop's either way."""
+
+    def check(self, tables):
+        outcomes = set()
+        for t in tables:
+            want = _self_distrib_loop(t.tolist())
+            assert _certified(t) == (want is None), t.tolist()
+            assert _kernels.self_distrib_violation(t) == want, t.tolist()
+            outcomes.add(want is None)
+        assert outcomes == {False, True}
+
+    def test_all_order_3_tables_with_bijective_columns(self):
+        perms = list(itertools.permutations(range(3)))
+        tables = [np.array(cols).T for cols in itertools.product(perms, repeat=3)]
+        assert len(tables) == 216
+        self.check(tables)
+
+    def test_few_permutation_columns(self):
+        rng = np.random.default_rng(20261019)
+        tables = []
+        for n in (4, 5, 6):
+            for _ in range(60):
+                perms = np.array([rng.permutation(n) for _ in range(rng.integers(1, 4))])
+                tables.append(perms[rng.integers(len(perms), size=n)].T)
+        assert all(len(set(_columns_loop(t))) < t.shape[0] for t in tables)
+        self.check(tables)
+
+    def test_column_swap_mutations(self):
+        rng = np.random.default_rng(20261020)
+        cat = census_catalog(8)
+        quandle_list = [galex(g, s) for g in cat for s in automorphisms(g)[:3]]
+        quandle_list += [conj_quandle(g) for g in cat]
+        quandle_list += [hopf_extension(g, s) for g in cat for s in normal_subgroups(g)
+                         if g.order * len(s.elements) <= 16]
+        tables = []
+        for q in quandle_list:
+            tables.append(q.table)
+            for _ in range(2 if q.order > 1 else 0):
+                a, b = rng.choice(q.order, size=2, replace=False)
+                t = q.table.copy()
+                t[:, [a, b]] = t[:, [b, a]]
+                tables.append(t)
+        assert any(len(set(_columns_loop(t))) < t.shape[0] for t in tables)
+        self.check(tables)
+
+    def test_class_check_alone_catches(self):
+        # columns 0 and 2 are (2, 1, 3, 0), columns 1 and 3 the identity
+        t = np.array([[2, 0, 2, 0], [1, 1, 1, 1], [3, 2, 3, 2], [0, 3, 0, 3]])
+        reps, rep = _kernels._column_classes(t)
+        assert reps.tolist() == [0, 1] and rep.tolist() == [0, 1, 0, 1]
+        rows = t.tolist()
+        for x, r, z in itertools.product(range(4), [0, 1], [0, 1]):
+            assert rows[rows[x][r]][z] == rows[rows[x][z]][rows[r][z]]
+        # but 2 <| 0 = 3 and 0 <| 0 = 2 lie in different column classes
+        assert rep[t[2, 0]] != rep[t[0, 0]]
+        assert not _certified(t)
+        assert _kernels.self_distrib_violation(t) == (0, 2, 0)
+        assert _self_distrib_loop(rows) == (0, 2, 0)
+
+    def test_classes_match_column_bytes(self, seeded_tables, repeated_column_tables):
+        # past the weight vector's length the weights repeat; still exact
+        wide = (np.arange(1100)[:, None] + np.arange(1100) % 7) % 1100
+        for t in seeded_tables + repeated_column_tables + [wide]:
+            reps, rep = _kernels._column_classes(t)
+            want = _columns_loop(t)
+            assert rep.tolist() == want
+            assert reps.tolist() == sorted(set(want))
+
+    def test_colliding_hashes_fall_back_to_singletons(
+            self, seeded_tables, repeated_column_tables, monkeypatch):
+        tables = seeded_tables + repeated_column_tables
+        want = [(_kernels.self_distrib_violation(t), _kernels.assoc_violation(t))
+                for t in tables]
+        monkeypatch.setattr(_kernels, "_HASH_WEIGHTS", np.zeros(1024, dtype=np.int64))
+        for t, w in zip(tables, want):
+            n = t.shape[0]
+            reps, rep = _kernels._column_classes(t)
+            if len(set(_columns_loop(t))) > 1:       # every hash is 0
+                assert reps.tolist() == rep.tolist() == list(range(n))
+            assert (_kernels.self_distrib_violation(t),
+                    _kernels.assoc_violation(t)) == w, t.tolist()
 
 
 def _cycle_type_loop(t, y):
