@@ -18,10 +18,10 @@ def first_hit(mask):
     return tuple(int(v) for v in np.unravel_index(i, mask.shape)) if mask.flat[i] else None
 
 
-# Cube entries per x-slab of the cube scans (about 0.5 MB per int64 array).
-# A slab holds at least one x, so with k distinct columns the scans hold
-# O(n * k * max(1, _SLAB / (n * k))) entries and the certificate
-# O(k^2 * max(1, _SLAB / k^2)).
+# Cube entries per x-slab of `_first_cube_mismatch` (about 0.5 MB per
+# int64 array).  A slab holds at least one x, so with k representatives the
+# scan holds O(n * k * max(1, _SLAB / (n * k))) entries, and restricted to
+# representative y (the certificate) O(k^2 * max(1, _SLAB / k^2)).
 _SLAB = 1 << 16
 
 # Weights of the column hash: the powers of an odd 64-bit constant, which
@@ -50,36 +50,38 @@ def _column_classes(table):
     return reps, rep
 
 
-def _first_cube_mismatch(table, offsets, zs):
+def _first_cube_mismatch(table, offsets, zs, reps_only=False):
     """First (x, y, z) in row-major order with
-    t[t[x,y], z] != t.flat[offsets[x, :, z] + t[y,z]], else None.
+    t[t[x,y], z] != t.flat[offsets[x, :, z] + t[y,z]], else None; with
+    reps_only, the first with y in zs too.
 
-    `offsets` is (n, 1, n), or (n, 1, 1) when it does not depend on z, and
-    `zs` the ascending least z of each distinct column (`_column_classes`).
-    Column c = t[:, z] decides z's part of the cube: lhs = c[t[x,y]] and
-    the rhs of both axioms is t[c[x], c[y]] (self-distributivity) or
-    t[x, c[y]] (associativity, offsets[x] = x * n).  So z and z' with equal
-    columns fail at the same (x, y).  The scan visits only the zs, in
-    increasing order.  Every bad z has a bad representative no larger than
-    itself, so the first (x, y) with a bad z is the first with a bad
-    representative, and its least bad z is the least bad representative.
-    Slabs of consecutive x, at most _SLAB entries each, are scanned in
-    increasing order and the scan stops at the first slab with a mismatch.
+    `zs` is the ascending least z of each distinct column
+    (`_column_classes`), or every z, and `offsets` is (n, 1, zs.size), or
+    (n, 1, 1) when it does not depend on z.  Column c = t[:, z] decides z's
+    part of the cube: lhs = c[t[x,y]] and the rhs of both axioms is
+    t[c[x], c[y]] (self-distributivity) or t[x, c[y]] (associativity,
+    offsets[x] = x * n).  So z and z' with equal columns fail at the same
+    (x, y).  The scan visits only the zs, in increasing order.  Every bad z
+    has a bad representative no larger than itself, so the first (x, y)
+    with a bad z is the first with a bad representative, and its least bad
+    z is the least bad representative.  Slabs of consecutive x, at most
+    _SLAB entries each, are scanned in increasing order and the scan stops
+    at the first slab with a mismatch.
     """
     n = table.shape[0]
     flat = table.ravel()
-    tz = table[:, zs]
-    if offsets.shape[2] != 1:
-        offsets = offsets[:, :, zs]
-    step = max(1, _SLAB // (n * zs.size))
+    tz = table.take(zs, axis=1)                          # t[x, z]
+    txy, tyz = (tz, tz[zs]) if reps_only else (table, tz)
+    step = max(1, _SLAB // tyz.size)
     for x0 in range(0, n, step):
         xs = slice(x0, x0 + step)
-        lhs = np.take(tz, table[xs], axis=0)             # t[t[x,y], z]
-        rhs = np.take(flat, offsets[xs] + tz[None])
-        hit = first_hit(lhs != rhs)
+        # rhs lives until the next slab's is made: freed within the slab,
+        # malloc hands its pages back and R_101 takes 2x longer
+        rhs = np.take(flat, offsets[xs] + tyz[None])
+        hit = first_hit(np.take(tz, txy[xs], axis=0) != rhs)   # t[t[x,y], z]
         if hit:
             x, y, k = hit
-            return (x0 + x, y, int(zs[k]))
+            return (x0 + x, int(zs[y]) if reps_only else y, int(zs[k]))
     return None
 
 
@@ -94,46 +96,35 @@ def _self_distrib_certified(table, reps, rep):
     S_{y<|z} S_z when y<|z and r<|z have the same column.  So it suffices
     that rep[t[y,z]] == rep[t[rep[y],z]] for every y and representative z
     (the class check, n k entries) and that the axiom holds for every x and
-    every pair of representatives (n k^2 entries, in x-slabs of at most
-    max(_SLAB, k^2)).  No column need be a bijection, so a pass always
+    every pair of representatives (the scan restricted to representative
+    y, n k^2 entries).  No column need be a bijection, so a pass always
     means the axiom holds; on a quandle both checks pass (the class check
     because S_z is invertible).
     """
-    n = table.shape[0]
     tz = table.take(reps, axis=1)                        # t[y, z], z a rep
     cls = rep[tz]
-    if not (cls == cls[rep]).all():
-        return False
-    flat = table.ravel()
-    rz = tz[reps]                                        # t[r, z]
-    xz = (tz * n)[:, None, :]                            # t[x, z] * n
-    step = max(1, _SLAB // (reps.size * reps.size))
-    for x0 in range(0, n, step):
-        xs = slice(x0, x0 + step)
-        lhs = tz.take(tz[xs], axis=0)                    # t[t[x,r], z]
-        if not (lhs == flat.take(xz[xs] + rz)).all():
-            return False
-    return True
+    return bool((cls == cls[rep]).all()) and _first_cube_mismatch(
+        table, (tz * table.shape[0])[:, None, :], reps, True) is None
 
 
 def assoc_violation(table):
-    """First (i, j, k) with (i*j)*k != i*(j*k), else None."""
+    """First (i, j, k) with (i*j)*k != i*(j*k), else None.  It scans every
+    z: after `validate_group`'s Latin-square check no two columns match."""
     n = table.shape[0]                  # i*(j*k) = t.flat[i*n + t[j,k]]
-    zs, _ = _column_classes(table)
-    return _first_cube_mismatch(table, (np.arange(n) * n)[:, None, None], zs)
+    ar = np.arange(n)
+    return _first_cube_mismatch(table, (ar * n)[:, None, None], ar)
 
 
 def self_distrib_violation(table):
     """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z), else None.
     A table that passes `_self_distrib_certified` has none; any other gets
     the scan, which reports the first violation.  With all columns distinct
-    the certificate's representative check is the scan itself, so it is
-    skipped."""
+    the certificate is the scan itself, so it is skipped."""
     n = table.shape[0]        # (x<|z)<|(y<|z) = t.flat[t[x,z]*n + t[y,z]]
     reps, rep = _column_classes(table)
     if reps.size < n and _self_distrib_certified(table, reps, rep):
         return None
-    return _first_cube_mismatch(table, (table * n)[:, None, :], reps)
+    return _first_cube_mismatch(table, (table.take(reps, axis=1) * n)[:, None, :], reps)
 
 
 def hopf_witness_scan(table):

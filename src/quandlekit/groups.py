@@ -295,18 +295,17 @@ def census_catalog(max_order):
 
 # -- subgroups ----------------------------------------------------------------
 
-def _closure(tables, seed):
-    """Smallest superset of the nonempty index set seed closed under every
-    n x n operation table in tables.  Indices must be in range already:
-    numpy wraps negative ones silently."""
-    mask = np.zeros(tables[0].shape[0], dtype=bool)
+def _closure(table, seed):
+    """Smallest superset of the nonempty index set seed closed under the
+    n x n operation table.  Indices must be in range already: numpy wraps
+    negative ones silently."""
+    mask = np.zeros(table.shape[0], dtype=bool)
     mask[list(seed)] = True
     size = 0
     while np.count_nonzero(mask) > size:
         idx = np.flatnonzero(mask)
         size = idx.size
-        for t in tables:
-            mask[t[np.ix_(idx, idx)]] = True
+        mask[table[np.ix_(idx, idx)]] = True
     return frozenset(np.flatnonzero(mask).tolist())
 
 
@@ -327,7 +326,7 @@ def subgroups(g: FiniteGroup):
     if g.order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(
             f"subgroups of order {g.order} exceed bound {DEFAULT_MAX_ORDER}")
-    cyclics = {_closure((g.table,), {x}) for x in range(g.order)}
+    cyclics = {_closure(g.table, {x}) for x in range(g.order)}
     found = set(cyclics)
     queue = deque(found)
     while queue:
@@ -335,7 +334,7 @@ def subgroups(g: FiniteGroup):
         for c in cyclics:
             if c <= s:
                 continue
-            j = _closure((g.table,), s | c)
+            j = _closure(g.table, s | c)
             if j not in found:
                 found.add(j)
                 queue.append(j)
@@ -357,7 +356,7 @@ def subgroup_from_elements(g: FiniteGroup, elements):
     s = frozenset(int(x) for x in elements)
     if not s or any(x < 0 or x >= g.order for x in s):
         raise NotASubgroup("subgroup elements out of range")
-    if _closure((g.table,), s) != s:
+    if _closure(g.table, s) != s:
         raise NotASubgroup("element set is not closed")
     return Subgroup(g, tuple(sorted(s)), _is_normal(g, s))
 

@@ -195,13 +195,14 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
 
 def subquandle_closure(q: FiniteQuandle, seed):
     """Smallest subset containing seed closed under <| and <|~ in both
-    operand positions."""
+    operand positions.  Closing under <| suffices: S_y has finite order m,
+    so x <|~ y = S_y^(m-1)(x) is reached by applying <| y again."""
     s = set(int(x) for x in seed)
     if not s:
         raise ValueError("seed must be nonempty")
     if any(x < 0 or x >= q.order for x in s):
         raise ValueError("seed elements out of range")
-    return _closure((q.table, q.inv_table), s)
+    return _closure(q.table, s)
 
 
 def restrict(q: FiniteQuandle, elements, label=""):

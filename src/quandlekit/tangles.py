@@ -136,8 +136,11 @@ def _colorings(d, q):
     lowest-id over arc of a crossing with a known under arc, which forces
     at once, else of the lowest unknown arc; the arcs of no crossing come
     last, in one step.  Past MAX_CELLS entries a step raises
-    OutputCapExceeded before allocating."""
+    OutputCapExceeded before allocating, and so does the start when one
+    column alone would pass it."""
     n, k = d.arc_count, q.order
+    if n > MAX_CELLS:           # every coloring column holds n entries
+        raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: {n} arcs")
     m = np.zeros((n, 1), dtype=np.int64)
     known = [False] * n
     touching = {}               # arc -> its crossings, for arcs in one

@@ -217,9 +217,10 @@ class TestKernelsMatchLoops:
         for t in seeded_tables:
             assert kernel(t) == LOOP_ORACLES[name](t.tolist()), t.tolist()
 
-    # The cube kernels scan one z per distinct column and map the hit back
-    # to the least bad z; these tables repeat columns, so a hit mapped to
-    # the wrong member of its class, or classes scanned out of order, show.
+    # self_distrib_violation scans one z per distinct column, and its
+    # first hit must be at the least bad z; assoc_violation scans every z.
+    # These tables repeat columns, so a hit at the wrong member of its
+    # class, or classes scanned out of order, show.
     @pytest.mark.parametrize("slab", [None, 1, 50])
     @pytest.mark.parametrize("name", ["assoc_violation", "self_distrib_violation"])
     def test_repeated_columns(self, name, slab, repeated_column_tables,
@@ -296,22 +297,27 @@ class TestSelfDistribCertificate:
     on self-distributive tables, on every one whose columns are bijections,
     and the kernel's first hit is the loop's either way."""
 
-    def check(self, tables):
-        outcomes = set()
-        for t in tables:
-            want = _self_distrib_loop(t.tolist())
-            assert _certified(t) == (want is None), t.tolist()
-            assert _kernels.self_distrib_violation(t) == want, t.tolist()
-            outcomes.add(want is None)
-        assert outcomes == {False, True}
+    # Every table here has order <= 16, so at the default _SLAB the
+    # certificate holds it in one slab; at _SLAB 1 and 50 it also fails
+    # past its first slab.
+    def check(self, tables, monkeypatch):
+        for slab in (_kernels._SLAB, 1, 50):
+            monkeypatch.setattr(_kernels, "_SLAB", slab)
+            outcomes = set()
+            for t in tables:
+                want = _self_distrib_loop(t.tolist())
+                assert _certified(t) == (want is None), (slab, t.tolist())
+                assert _kernels.self_distrib_violation(t) == want, (slab, t.tolist())
+                outcomes.add(want is None)
+            assert outcomes == {False, True}
 
-    def test_all_order_3_tables_with_bijective_columns(self):
+    def test_all_order_3_tables_with_bijective_columns(self, monkeypatch):
         perms = list(itertools.permutations(range(3)))
         tables = [np.array(cols).T for cols in itertools.product(perms, repeat=3)]
         assert len(tables) == 216
-        self.check(tables)
+        self.check(tables, monkeypatch)
 
-    def test_few_permutation_columns(self):
+    def test_few_permutation_columns(self, monkeypatch):
         rng = np.random.default_rng(20261019)
         tables = []
         for n in (4, 5, 6):
@@ -319,9 +325,9 @@ class TestSelfDistribCertificate:
                 perms = np.array([rng.permutation(n) for _ in range(rng.integers(1, 4))])
                 tables.append(perms[rng.integers(len(perms), size=n)].T)
         assert all(len(set(_columns_loop(t))) < t.shape[0] for t in tables)
-        self.check(tables)
+        self.check(tables, monkeypatch)
 
-    def test_column_swap_mutations(self):
+    def test_column_swap_mutations(self, monkeypatch):
         rng = np.random.default_rng(20261020)
         cat = census_catalog(8)
         quandle_list = [galex(g, s) for g in cat for s in automorphisms(g)[:3]]
@@ -337,7 +343,7 @@ class TestSelfDistribCertificate:
                 t[:, [a, b]] = t[:, [b, a]]
                 tables.append(t)
         assert any(len(set(_columns_loop(t))) < t.shape[0] for t in tables)
-        self.check(tables)
+        self.check(tables, monkeypatch)
 
     def test_class_check_alone_catches(self):
         # columns 0 and 2 are (2, 1, 3, 0), columns 1 and 3 the identity

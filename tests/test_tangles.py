@@ -326,6 +326,18 @@ class TestSolver:
             with pytest.raises(OutputCapExceeded, match="74 solver cells"):
                 enumerate_colorings(d, q, mode)
         assert sizes == [15, 15, 15]
+        # a coloring column of 2^24 + 1 arcs alone passes the bound, so the
+        # solver raises before it holds one
+        monkeypatch.undo()
+        d = parse_tangle(f"arcs {tangles.MAX_CELLS + 1}\nstart 0\nend 0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutputCapExceeded, match="16777217 arcs"):
+                enumerate_colorings(d, trivial_quandle(1), "count")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_20000_free_arcs_under_half_a_second(self):
         # arcs in no crossing are colored in one step, not one branch each
