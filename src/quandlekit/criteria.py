@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +48,7 @@ class Witness:
         raise ValueError(f"unknown witness kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     group_name: str
     group_order: int
     automorphism_index: int
@@ -197,14 +197,7 @@ def dedup_by_isomorphism(records, quandles, pins):
     return [records[i] for i in keep], [quandles[i] for i in keep]
 
 
-CENSUS_FIELDS = ("group_name", "group_order", "automorphism_index",
-                 "quandle_order", "isomorphism_class_representative",
-                 "hopf_admissible", "trefoil_admissible")
-
-
 def format_census(records):
-    """Tab-separated census table with a #-prefixed header."""
-    out = ["#" + "\t".join(CENSUS_FIELDS)]
-    for r in records:
-        out.append("\t".join(str(getattr(r, f)) for f in CENSUS_FIELDS))
-    return "\n".join(out) + "\n"
+    """Tab-separated census table with a #-prefixed header; bools print as True/False."""
+    row = "%s\t%d\t%d\t%d\t%s\t%s\t%s\n"
+    return "#" + "\t".join(CensusRecord._fields) + "\n" + "".join(row % r for r in records)

@@ -435,7 +435,7 @@ def _generation(g: FiniteGroup):
         k, h = seq.size, int(np.argmin(reached))
         seq, layers = np.append(seq, h), []
         reached[h] = True
-        while True:
+        while not reached.all():        # at H_j = G, no product confirms closure
             src = np.full(n, -1)            # a pair (y, w) per product
             src[m[seq[:, None], seq].ravel()] = np.arange(seq.size ** 2)
             new = np.flatnonzero((src >= 0) & ~reached)
@@ -487,8 +487,10 @@ def automorphisms(g: FiniteGroup):
                     f"partial automorphisms, on its order-{end} subgroup")
                 raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
         f = np.concatenate(kept)
+    # one byte-string key per row: big-endian u2 compares as the entries do, n < 65536
     maps = f[:, pos]
-    maps = maps[np.lexsort(maps.T[::-1])]
+    keys = np.ascontiguousarray(maps, ">u2").view(f"S{2 * n}").ravel()
+    maps = maps[keys.argsort(kind="stable")]
     maps.setflags(write=False)
     return maps
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import first_hit
 from .errors import (
     DanglingArc,
     DisconnectedStrand,
@@ -128,7 +127,7 @@ MAX_CELLS = 2 ** 24     # int64 entries the solver may hold: 128 MiB
 
 def _colorings(d, q):
     """Every coloring, as the columns of an (arc_count, colorings) int64
-    array sorted lexicographically.  All columns know the same arcs.  A
+    array in branching order.  All columns know the same arcs.  A
     crossing with its over arc and one under arc known forces the other
     (one gather); with all three known it drops the columns that break it.
     A crossing is looked at again when one of its arcs becomes known.
@@ -198,7 +197,7 @@ def _colorings(d, q):
         bound(reps, f"{k}^{len(free)}")
         m = np.repeat(m, reps, axis=1)
         m[free] = np.tile(np.arange(reps) // k ** np.arange(len(free))[:, None] % k, cols)
-    return m[:, np.lexsort(m[::-1])] if m.shape[1] > 1 else m
+    return m
 
 
 def check_coloring(d, q, assignment):
@@ -226,22 +225,28 @@ def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count",
     if mode == "list":
         if m.shape[1] > cap:
             raise OutputCapExceeded(f"more than {cap} colorings")
+        if m.shape[1] > 1:
+            m = m[:, np.lexsort(m[::-1])]
         return [Coloring(tuple(col)) for col in m.T.tolist()]
-    hit = first_hit(m[d.start_arc] != m[d.end_arc])   # nonempty: constant colorings
-    if hit is None:
+    idx = np.flatnonzero(m[d.start_arc] != m[d.end_arc])    # the witnesses
+    if not idx.size:
         return AdmissibilityVerdict(True, None)
-    return AdmissibilityVerdict(False, Coloring(tuple(m[:, hit[0]].tolist())))
+    a = 0
+    while idx.size > 1:     # the colorings are distinct: narrow to the least one
+        idx, a = idx[m[a, idx] == m[a, idx].min()], a + 1
+    return AdmissibilityVerdict(False, Coloring(tuple(m[:, idx[0]].tolist())))
 
 
 def fundamental_quandle_presentation(d: TangleDiagram):
-    """One generator per arc, one relation per crossing, in diagram order."""
-    gens = tuple(f"a{i}" for i in range(d.arc_count))
-    rels = []
-    for c in d.crossings:
-        op = "<|" if c.sign > 0 else "<|~"
-        rels.append((f"a{c.under_in} {op} a{c.over}", f"a{c.under_out}"))
-    return Presentation(generators=gens, relations=tuple(rels),
-                        kind="fundamental_quandle")
+    """One generator per arc, one relation per crossing, in diagram order.
+    Past DEFAULT_OUTPUT_CAP of them, OutputCapExceeded before building any."""
+    if d.arc_count + len(d.crossings) > DEFAULT_OUTPUT_CAP:
+        raise OutputCapExceeded(f"more than {DEFAULT_OUTPUT_CAP} generators and relations: "
+                                f"{d.arc_count} arcs and {len(d.crossings)} crossings")
+    rels = tuple((f"a{c.under_in} {'<|' if c.sign > 0 else '<|~'} a{c.over}",
+                  f"a{c.under_out}") for c in d.crossings)
+    return Presentation(tuple(f"a{i}" for i in range(d.arc_count)), rels,
+                        "fundamental_quandle")
 
 
 # -- file format --------------------------------------------------------------

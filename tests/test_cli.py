@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,20 @@ class TestPresent:
                            "--tangle", "builtin:hopf")
         assert code == 0
         assert "gen a0" in out and "rel a0 <| a1 = a2" in out
+
+    def test_fundamental_past_output_cap_is_65(self, capsys, tmp_path):
+        # 10^6 + 1 generators: refused before one is built
+        p = tmp_path / "free.tangle"
+        p.write_text("arcs 1000001\nstart 0\nend 0\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "present", "fundamental", "--tangle", str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (65, "")
+        assert "1000001 arcs and 0 crossings" in err
+        assert peak < 2 ** 20
 
     def test_as(self, capsys, r3_file):
         code, out, _ = run(capsys, "present", "as", "--quandle", r3_file)

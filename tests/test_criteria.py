@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -216,7 +215,7 @@ class TestCensus:
         raw_q = census_quandles(raw_r)
         ref_r, _ = dedup_by_isomorphism(raw_r, raw_q, every_element(raw_q))
         assert records == [
-            dataclasses.replace(r, isomorphism_class_representative=True)
+            r._replace(isomorphism_class_representative=True)
             for r in ref_r]
 
     def test_stacked_tables_match_validated_per_map_tables(self):
@@ -411,3 +410,18 @@ class TestCensus:
         lines = text.splitlines()
         assert lines[0].startswith("#group_name\t")
         assert lines[1] == "cyclic(1)\t1\t0\t1\tTrue\tTrue\tTrue"
+
+    def test_record_fields_are_the_header(self):
+        header = format_census(census_galex(4)).splitlines()[0]
+        assert header == "#" + "\t".join(CensusRecord._fields)
+        assert CensusRecord._fields == (
+            "group_name", "group_order", "automorphism_index", "quandle_order",
+            "isomorphism_class_representative", "hopf_admissible",
+            "trefoil_admissible")
+
+    def test_record_is_immutable(self):
+        r = census_galex(3)[0]
+        with pytest.raises(AttributeError):
+            r.hopf_admissible = False
+        assert r._replace(hopf_admissible=False).hopf_admissible is False
+        assert r.hopf_admissible is True

@@ -402,6 +402,16 @@ class TestAutomorphisms:
             assert len(maps) == count, g.name
             assert all(a < b for a, b in zip(maps, maps[1:])), g.name
 
+    def test_rows_in_lexsort_order(self):
+        """The one byte-string key per row sorts as np.lexsort does, also
+        for a group of order 300, whose entries take two bytes."""
+        gs = census_catalog(64) + [validate_group(
+            (np.arange(300)[:, None] + np.arange(300)) % 300, name="cyclic(300)")]
+        for g in gs:
+            maps = automorphisms(g)
+            assert np.array_equal(maps, maps[np.lexsort(maps.T[::-1])]), g.name
+        assert len(maps) == 80 and maps.max() > 255
+
     def test_cap_raises(self, monkeypatch):
         z2cubed = parse_group_spec("cyclic:2*cyclic:2*cyclic:2")   # 168 maps
         monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 100)

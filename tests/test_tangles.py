@@ -401,6 +401,25 @@ class TestSolver:
                     assert got == want, (name, free, q.label)
                     assert enumerate_colorings(d, q, "count") == len(want)
 
+    def test_count_and_admissibility_sort_nothing(self, monkeypatch):
+        # only the list is put in lexicographic order; the first witness
+        # comes from narrowing the witnesses arc by arc
+        g = catalog("quaternion8")
+        q = galex(g, [0, 1, 4, 5, 6, 7, 2, 3])
+        d = builtin_tangle("trefoil")
+        want = [c.assignment for c in enumerate_colorings(d, q, "list")]
+        witnesses = [a for a in want if a[d.start_arc] != a[d.end_arc]]
+        assert len(witnesses) > 1
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.lexsort called")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        assert enumerate_colorings(d, q, "count") == len(want)
+        v = enumerate_colorings(d, q, "admissibility")
+        assert not v.admissible and v.witness.assignment == witnesses[0]
+        assert enumerate_colorings(builtin_tangle("hopf"), q, "admissibility").admissible
+
     def test_output_cap(self):
         d = builtin_tangle("hopf")                     # 9 colorings
         with pytest.raises(OutputCapExceeded, match="more than 8 colorings"):
@@ -447,3 +466,11 @@ class TestPresentation:
         p = fundamental_quandle_presentation(builtin_tangle("trefoil"))
         assert len(p.generators) == 4
         assert len(p.relations) == 3
+
+    def test_output_cap(self, monkeypatch):
+        # the trefoil has 4 arcs and 3 crossings: 7 lines of output
+        monkeypatch.setattr(tangles, "DEFAULT_OUTPUT_CAP", 7)
+        assert len(fundamental_quandle_presentation(builtin_tangle("trefoil")).relations) == 3
+        monkeypatch.setattr(tangles, "DEFAULT_OUTPUT_CAP", 6)
+        with pytest.raises(OutputCapExceeded, match="4 arcs and 3 crossings"):
+            fundamental_quandle_presentation(builtin_tangle("trefoil"))
