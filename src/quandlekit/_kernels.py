@@ -141,16 +141,22 @@ def trefoil_witness_scan(table):
 
 
 def cycle_lengths(table):
-    """lens[z, y]: the length of the cycle through z of the column
-    permutation S_y: z -> t[z, y].  Pointer doubling on the points (y, z),
-    numbered y*n + z: after k steps lab[y, z] is the least number among z,
+    """lens[z, y]: the length of the cycle through z of S_y: z -> t[z, y],
+    for t an n x m array of permutation columns.  Pointer doubling on the
+    points (y, z), numbered y*n + z: after k steps lab[y, z] is the least of z,
     S_y(z), ..., S_y^(2^k - 1)(z), so after ceil(log2 n) steps it numbers
-    the least point of z's cycle, and counting the points per label gives
-    the cycle's length."""
+    the least point of z's cycle; the points per label are its length."""
     n = table.shape[0]
-    lab = np.arange(n * n).reshape(n, n)
+    lab = np.arange(table.size).reshape(table.T.shape)
     p = table.T + lab[:, :1]                  # p[y, z] numbers S_y(z)
     for _ in range((n - 1).bit_length()):
         lab = np.minimum(lab, np.take(lab, p))
         p = np.take(p, p)
-    return np.bincount(lab.ravel(), minlength=n * n)[lab].T
+    return np.bincount(lab.ravel(), minlength=table.size)[lab].T
+
+
+def _row_keys(rows):
+    """One byte string per row of a 2-d array with entries in 0..65535:
+    the row as big-endian 2-byte entries, so the keys compare as the rows
+    do lexicographically."""
+    return np.ascontiguousarray(rows, ">u2").view(f"S{2 * rows.shape[1]}").ravel()

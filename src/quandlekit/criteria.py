@@ -18,18 +18,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import OrderTooLarge
-from .groups import DEFAULT_MAX_ORDER, automorphisms, census_catalog
+from .errors import OrderTooLarge, OutputCapExceeded
+from .groups import DEFAULT_MAX_ORDER, _list_isomorphisms, automorphisms, census_catalog
 from .presentation import Presentation
 from .quandles import (
     FiniteQuandle,
-    _any_isomorphism,
     _galex_tables,
     _homomorphisms,
     _quandles,
-    invariant_profile,
+    is_homomorphism,
     relabel,
 )
+from .tangles import DEFAULT_OUTPUT_CAP
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,12 @@ def trefoil_witness(q: FiniteQuandle):
 
 def associated_group_presentation(q: FiniteQuandle):
     """Generators g0..g(n-1); for each ordered pair (x, y) the relation
-    g_y^-1 g_x g_y = g_{x <| y}.  No simplification."""
+    g_y^-1 g_x g_y = g_{x <| y}.  No simplification.  Past DEFAULT_OUTPUT_CAP
+    generators and relations, OutputCapExceeded before building any."""
     n = q.order
+    if n * n + n > DEFAULT_OUTPUT_CAP:
+        raise OutputCapExceeded(
+            f"more than {DEFAULT_OUTPUT_CAP} generators and relations: order {n}")
     gens = tuple(f"g{i}" for i in range(n))
     rels = tuple((f"g{y}^-1 g{x} g{y}", f"g{q.op(x, y)}")
                  for x in range(n) for y in range(n))
@@ -94,36 +98,36 @@ def census_galex(max_group_order, dedup=False):
     translation R_g(x) = x g is an automorphism of B = GAlex(G, sigma), as
     (x g) <| (y g) = sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a
     witness iff (x y^-1, e) is one: `_galex_admissible` reads the flags
-    off the pairs (d, e), and the raw census builds no table.  Dedup merges each Aut(G)-conjugacy
-    class, checking the conjugator on the tables, then searches the class
-    leaders with f(0) pinned to e: if f: A -> B is an isomorphism, so is
-    R_h f with h = f(0)^-1."""
+    off the pairs (d, e), and the raw census builds no table.  The R_g act
+    transitively, so B is homogeneous: dedup merges each Aut(G)-conjugacy
+    class, checking the conjugator on the tables, and hands the class
+    leaders to `dedup_by_isomorphism`."""
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
-    records, quandles, pins = [], [], []
+    records, quandles = [], []
     for grp in census_catalog(max_group_order):
         s = automorphisms(grp)
-        leaders = _aut_class_leaders(s) if dedup else [(c, None) for c in range(len(s))]
-        keep = [c for c, (li, _) in enumerate(leaders) if li == c]
+        idx = np.arange(len(s))
+        leader, phi = _aut_class_leaders(s) if dedup else (idx, None)
+        keep = idx[leader == idx].tolist()
         records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
                     for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
         if dedup:       # each other automorphism's conjugator, against its leader
             kept = dict(zip(keep, (q for _, t in _galex_tables(grp, s[keep])
                                    for q in _quandles(t))))
             quandles += kept.values()
-            pins += [[grp.identity]] * len(keep)
-            rest = [c for c, (li, _) in enumerate(leaders) if li != c]
+            rest = idx[leader != idx]
             for a, t in _galex_tables(grp, s[rest]):
                 cs = rest[a:a + len(t)]
-                ok = _homomorphisms(np.array([leaders[c][1] for c in cs]),
-                                    np.array([kept[leaders[c][0]].table for c in cs]), t)
+                ok = _homomorphisms(s[phi[cs]], np.array(
+                    [kept[c].table for c in leader[cs].tolist()]), t)
                 if not ok.all():
                     c = cs[int(np.argmin(ok))]
                     raise RuntimeError(f"conjugator does not map GAlex({grp.name}, aut "
-                                       f"{leaders[c][0]}) onto GAlex({grp.name}, aut {c})")
+                                       f"{leader[c]}) onto GAlex({grp.name}, aut {c})")
     # A non-leader is isomorphic to its earlier leader, so the first record
     # of every isomorphism class is a leader.
-    return dedup_by_isomorphism(records, quandles, pins)[0] if dedup else records
+    return dedup_by_isomorphism(records, quandles)[0] if dedup else records
 
 
 def _galex_admissible(g, s):
@@ -139,59 +143,60 @@ def _galex_admissible(g, s):
 
 
 def _aut_class_leaders(maps):
-    """For each automorphism sigma_c of G (row c of maps, which holds all
-    of Aut(G)), the pair (l, phi): l is the least index in the Aut(G)-
-    conjugacy class of sigma_c and phi in Aut(G) has phi sigma_l phi^-1 =
-    sigma_c, so phi is an isomorphism GAlex(G, sigma_l) -> GAlex(G, sigma_c)."""
-    index = {row: i for i, row in enumerate(map(tuple, maps.tolist()))}
-    inverses = np.argsort(maps, axis=1)
-    out = [None] * len(maps)
+    """(leader, phi) for the rows of maps, all of Aut(G) in `automorphisms`
+    order: leader[c] is the least index in the conjugacy class of sigma_c,
+    and phi[c] indexes a phi with phi sigma_leader[c] phi^-1 = sigma_c, an
+    isomorphism GAlex(G, sigma_leader[c]) -> GAlex(G, sigma_c).  Each
+    conjugate's index is found by its row key among the sorted keys."""
+    keys, inverses = _kernels._row_keys(maps), np.argsort(maps, axis=1)
+    leader, phi = np.full(len(maps), -1), np.zeros(len(maps), dtype=np.int64)
     for i, sigma in enumerate(maps):
-        if out[i] is None:      # row j of conj is phi_j sigma phi_j^-1
+        if leader[i] < 0:       # row j of conj is phi_j sigma phi_j^-1
             conj = np.take_along_axis(maps, sigma[inverses], axis=1)
-            for phi, row in zip(maps, conj.tolist()):
-                c = index[tuple(row)]
-                if out[c] is None:
-                    out[c] = (i, phi)
-    return out
+            c, j = np.unique(keys.searchsorted(_kernels._row_keys(conj)),
+                             return_index=True)     # all of sigma's class, unseen
+            leader[c], phi[c] = i, j
+    return leader, phi
 
 
-def dedup_by_isomorphism(records, quandles, pins):
-    """Keep the first record of each quandle isomorphism class.  Quandles
-    of one order at a time are bucketed by invariant-profile multiset
-    before the isomorphism search, which only asks whether a map exists;
-    only that order's kept quandles hold their search columns.
-
-    pins, aligned with quandles, gives for each B the images of 0 to try,
-    a list such that some isomorphism A -> B sends 0 into it whenever one
-    exists.  A list of every element of B always is one; `census_galex`
-    passes the group identity alone.
+def dedup_by_isomorphism(records, quandles):
+    """Keep the first record of each quandle isomorphism class, for
+    homogeneous quandles, whose automorphisms move 0 to every element (see
+    `census_galex`).  So if A and B are isomorphic, some isomorphism fixes
+    0, and every element has the invariant profile of 0: the cycle type of
+    S_0 and the fixed points of row 0.  Quandles of one order at a time are
+    bucketed by that profile, and the search pins f(0) = 0 with no colors
+    to match; only that order's kept quandles hold their search columns,
+    and a map found counts once `is_homomorphism` passes it.
 
     Each kept A is searched from relabelled with its Inn-orbit leaders (the
     least element of each orbit) first, then the rest, both ascending: the
     search branches on the least unmapped element, so on one element per
     orbit before a second one.  0 is a leader and keeps index 0, so the
-    pins stay valid.
+    pin stays valid.
     """
     by_order = defaultdict(list)
     for i, q in enumerate(quandles):
         by_order[q.order].append(i)
     keep = []
     for indices in by_order.values():
-        buckets = defaultdict(list)   # profiles -> [(kept quandle, profile, columns)]
+        buckets = defaultdict(list)   # profile of 0 -> [(kept quandle, columns)]
         for i in indices:
             q = quandles[i]
-            prof = invariant_profile(q)
-            bucket = buckets[tuple(sorted(prof))]
-            cols = q.table.T.tolist()
-            if all(_any_isomorphism(k, q, pk, prof, pins[i], ck, cols) is None
-                   for k, pk, ck in bucket):
-                lab, prev = np.arange(q.order), None    # least of each Inn-orbit
+            t, ar = q.table, np.arange(q.order)
+            cycle_type = np.sort(_kernels.cycle_lengths(t[:, :1]), axis=None).tolist()
+            bucket = buckets[(tuple(cycle_type), int(np.count_nonzero(t[0] == ar)))]
+            cols, same = t.T.tolist(), [0] * q.order
+            for k, ck in bucket:
+                f = next(_list_isomorphisms(ck, cols, same, same, 0, [0]), None)
+                if f is not None and is_homomorphism(f, k, q):
+                    break
+            else:
+                lab, prev = ar, None    # least of each Inn-orbit
                 while not np.array_equal(lab, prev):
-                    lab, prev = lab[q.table].min(axis=1), lab
-                order = np.argsort(lab != np.arange(q.order), kind="stable")
-                k = relabel(q, np.argsort(order))
-                bucket.append((k, [prof[x] for x in order], k.table.T.tolist()))
+                    lab, prev = lab[t].min(axis=1), lab
+                k = relabel(q, np.argsort(np.argsort(lab != ar, kind="stable")))
+                bucket.append((k, k.table.T.tolist()))
                 keep.append(i)
     keep.sort()
     return [records[i] for i in keep], [quandles[i] for i in keep]

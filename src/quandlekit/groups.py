@@ -487,10 +487,8 @@ def automorphisms(g: FiniteGroup):
                     f"partial automorphisms, on its order-{end} subgroup")
                 raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
         f = np.concatenate(kept)
-    # one byte-string key per row: big-endian u2 compares as the entries do, n < 65536
     maps = f[:, pos]
-    keys = np.ascontiguousarray(maps, ">u2").view(f"S{2 * n}").ravel()
-    maps = maps[keys.argsort(kind="stable")]
+    maps = maps[_kernels._row_keys(maps).argsort(kind="stable")]
     maps.setflags(write=False)
     return maps
 

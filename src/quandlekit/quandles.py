@@ -250,27 +250,15 @@ def invariant_profile(q: FiniteQuandle):
 
 def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     """A bijective homomorphism a -> b as a map list, or None: the
-    lexicographically first, with images of equal invariant profile."""
+    lexicographically first, with images of equal invariant profile.  The
+    map found gets the full recheck."""
     if a.order != b.order:
         return None
     pa, pb = invariant_profile(a), invariant_profile(b)
     if sorted(pa) != sorted(pb):
         return None
-    return _any_isomorphism(a, b, pa, pb, range(b.order))
-
-
-def _any_isomorphism(a, b, pa, pb, images, sa=None, sb=None):
-    """The first isomorphism a -> b with f(0) in images, in the order of
-    `_list_isomorphisms`, as a map list, or None, given invariant profiles
-    equal as multisets.  Every element of b is always a complete list of
-    images; a caller that knows a smaller one (see `census_galex`) passes
-    that.  sa and sb are the columns of the operation tables of a and b as
-    nested lists, `table.T.tolist()`, converted here unless the caller
-    holds them; no inverse table is searched.  The map found gets the full
-    recheck."""
-    sa = a.table.T.tolist() if sa is None else sa
-    sb = b.table.T.tolist() if sb is None else sb
-    f = next(_list_isomorphisms(sa, sb, pa, pb, 0, images), None)
+    f = next(_list_isomorphisms(a.table.T.tolist(), b.table.T.tolist(), pa, pb, 0,
+                                range(b.order)), None)
     return f if f is not None and is_homomorphism(f, a, b) else None
 
 

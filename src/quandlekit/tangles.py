@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     DanglingArc,
     DisconnectedStrand,
@@ -225,8 +226,7 @@ def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count",
     if mode == "list":
         if m.shape[1] > cap:
             raise OutputCapExceeded(f"more than {cap} colorings")
-        if m.shape[1] > 1:
-            m = m[:, np.lexsort(m[::-1])]
+        m = m[:, _kernels._row_keys(m.T).argsort()]
         return [Coloring(tuple(col)) for col in m.T.tolist()]
     idx = np.flatnonzero(m[d.start_arc] != m[d.end_arc])    # the witnesses
     if not idx.size:

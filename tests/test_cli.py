@@ -19,6 +19,7 @@ from quandlekit.quandles import (
     format_quandle_file,
     galex,
     parse_quandle_file,
+    trivial_quandle,
 )
 
 
@@ -391,6 +392,15 @@ class TestPresent:
         assert code == 0
         assert out.count("gen ") == 3
         assert out.count("rel ") == 9
+
+    def test_as_past_output_cap_is_65(self, capsys, tmp_path):
+        # order 1000: 1000 generators and 10^6 relations, refused before one
+        # is built
+        p = tmp_path / "trivial1000.quandle"
+        p.write_text(format_quandle_file(trivial_quandle(1000)))
+        code, out, err = run(capsys, "present", "as", "--quandle", str(p))
+        assert (code, out) == (65, "")
+        assert "generators and relations: order 1000" in err
 
 
 class TestCensusAndCatalog:

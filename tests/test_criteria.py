@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import census_quandles
-from quandlekit import _kernels, criteria
+from quandlekit import _kernels, criteria, tangles
 from quandlekit.criteria import (
     CensusRecord,
     Witness,
@@ -18,8 +18,9 @@ from quandlekit.criteria import (
     hopf_witness,
     trefoil_witness,
 )
-from quandlekit.errors import OrderTooLarge
+from quandlekit.errors import OrderTooLarge, OutputCapExceeded
 from quandlekit.groups import (
+    _list_isomorphisms,
     automorphisms,
     catalog,
     census_catalog,
@@ -27,7 +28,6 @@ from quandlekit.groups import (
     parse_group_spec,
 )
 from quandlekit.quandles import (
-    _any_isomorphism,
     _galex_tables,
     _quandles,
     conj_quandle,
@@ -37,7 +37,6 @@ from quandlekit.quandles import (
     invariant_profile,
     is_homomorphism,
     isomorphic,
-    relabel,
     trivial_quandle,
     validate_quandle,
 )
@@ -47,12 +46,6 @@ def galex_q8():
     g = catalog("quaternion8")
     sigma = next(a for a in automorphisms(g) if a.tolist() == [0, 1, 4, 5, 6, 7, 2, 3])
     return galex(g, sigma)
-
-
-def every_element(quandles):
-    """Dedup pins that need no argument: every element of each quandle
-    is a candidate image of 0."""
-    return [range(q.order) for q in quandles]
 
 
 class TestHopfWitness:
@@ -142,6 +135,28 @@ class TestAssociatedGroupPresentation:
         text = associated_group_presentation(trivial_quandle(1)).format()
         assert text == "gen g0\nrel g0^-1 g0 g0 = g0\n"
 
+    def test_output_cap(self, monkeypatch):
+        # order 3: 3 generators and 9 relations, 12 lines of output
+        monkeypatch.setattr(criteria, "DEFAULT_OUTPUT_CAP", 12)
+        assert len(associated_group_presentation(dihedral_quandle(3)).relations) == 9
+        monkeypatch.setattr(criteria, "DEFAULT_OUTPUT_CAP", 11)
+        with pytest.raises(OutputCapExceeded, match="order 3"):
+            associated_group_presentation(dihedral_quandle(3))
+
+    def test_default_output_cap_from_order_1000(self):
+        # n + n^2 lines pass 10^6 from order 1000 up; refused before any
+        # line is built
+        assert 999 + 999 ** 2 <= tangles.DEFAULT_OUTPUT_CAP < 1000 + 1000 ** 2
+        q = trivial_quandle(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutputCapExceeded, match="order 1000"):
+                associated_group_presentation(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
 
 @functools.lru_cache
 def _permutations(n):
@@ -155,6 +170,23 @@ def _brute_force_isomorphic(a, b):
     for x in range(a.order):
         f = f[(f[:, a.table[x]] == b.table[f[:, [x]], f]).all(axis=1)]
     return len(f) > 0
+
+
+def _aut_class_leaders_by_dict(maps):
+    """Oracle for `criteria._aut_class_leaders`: per row c, the least index
+    l of its Aut(G)-conjugacy class and the first phi in row order with
+    phi sigma_l phi^-1 = sigma_c, looked up in a dict of row tuples."""
+    index = {row: i for i, row in enumerate(map(tuple, maps.tolist()))}
+    inverses = np.argsort(maps, axis=1)
+    out = [None] * len(maps)
+    for i, sigma in enumerate(maps):
+        if out[i] is None:
+            conj = np.take_along_axis(maps, sigma[inverses], axis=1)
+            for phi, row in zip(maps, conj.tolist()):
+                c = index[tuple(row)]
+                if out[c] is None:
+                    out[c] = (i, phi)
+    return out
 
 
 class TestCensus:
@@ -182,25 +214,29 @@ class TestCensus:
     def test_dedup_idempotent(self):
         records = census_galex(8, dedup=True)
         quandles = census_quandles(records)
-        again_r, again_q = dedup_by_isomorphism(records, quandles,
-                                                every_element(quandles))
+        again_r, again_q = dedup_by_isomorphism(records, quandles)
         assert again_r == records
         assert len(again_q) == len(quandles)
 
     def test_dedup_computes_each_profile_once(self, monkeypatch):
+        # one profile per quandle, that of element 0 from the cycle lengths
+        # of its column alone; no per-element profile
         from quandlekit import quandles
-        calls, profile = [], quandles.invariant_profile
+        calls, lengths = [], _kernels.cycle_lengths
 
-        def counted(q):
-            calls.append(q)
-            return profile(q)
+        def counted(t):
+            calls.append(t.shape)
+            return lengths(t)
 
-        monkeypatch.setattr(criteria, "invariant_profile", counted)
-        monkeypatch.setattr(quandles, "invariant_profile", counted)
+        def per_element(q):
+            raise AssertionError("per-element profile computed")
+
         records = census_galex(8)
         qs = census_quandles(records)
-        _, kept_q = dedup_by_isomorphism(records, qs, every_element(qs))
-        assert len(calls) == len(qs)
+        monkeypatch.setattr(_kernels, "cycle_lengths", counted)
+        monkeypatch.setattr(quandles, "invariant_profile", per_element)
+        _, kept_q = dedup_by_isomorphism(records, qs)
+        assert calls == [(q.order, 1) for q in qs]
         assert len(kept_q) < len(qs)
 
     def test_order_too_large(self):
@@ -213,7 +249,7 @@ class TestCensus:
         records = census_galex(12, dedup=True)
         raw_r = census_galex(12)
         raw_q = census_quandles(raw_r)
-        ref_r, _ = dedup_by_isomorphism(raw_r, raw_q, every_element(raw_q))
+        ref_r, _ = dedup_by_isomorphism(raw_r, raw_q)
         assert records == [
             r._replace(isomorphism_class_representative=True)
             for r in ref_r]
@@ -285,9 +321,9 @@ class TestCensus:
         # expands its candidate rows in chunks of about _SLAB entries too
         handed = []
 
-        def capture(records, quandles, pins):
+        def capture(records, quandles):
             handed.append(quandles)
-            return dedup(records, quandles, pins)
+            return dedup(records, quandles)
 
         dedup = criteria.dedup_by_isomorphism
         monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
@@ -323,31 +359,31 @@ class TestCensus:
         assert peak < 16 * 2 ** 20
 
     def test_identity_pinned_search_agrees_with_isomorphic(self, monkeypatch):
-        # the pins census_galex hands to the dedup are {e}; over every pair
-        # of its 198 inputs (the Aut(G)-class leaders of census_galex(16))
-        # that share an invariant bucket, in the order the dedup compares
-        # them, the search pinned there finds a map exactly when
-        # isomorphic() does, and on orders <= 8 exactly when a brute force
-        # over all n! bijections does
-        seen = {}
+        # the dedup pins f(0) = 0, the identity of each catalog group, and
+        # matches no colors; over every pair of its 198 inputs (the
+        # Aut(G)-class leaders of census_galex(16)) that share the profile
+        # of 0, in the order the dedup compares them, that search finds a
+        # map exactly when isomorphic() does, and on orders <= 8 exactly
+        # when a brute force over all n! bijections does
+        seen = []
 
-        def capture(records, quandles, pins):
-            seen.update(records=records, quandles=quandles, pins=pins)
+        def capture(records, quandles):
+            seen.extend(quandles)
             return records, quandles
 
         monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
         census_galex(16, dedup=True)
-        identity = {g.name: g.identity for g in census_catalog(16)}
+        assert all(g.identity == 0 for g in census_catalog(16))
         buckets = defaultdict(list)
-        for r, q, pin in zip(seen["records"], seen["quandles"], seen["pins"]):
-            assert pin == [identity[r.group_name]], q.label
-            p = invariant_profile(q)
-            buckets[(q.order, tuple(sorted(p)))].append((q, p, pin))
-        assert len(seen["quandles"]) == 198
+        for q in seen:
+            buckets[(q.order, invariant_profile(q)[0])].append(q)
+        assert len(seen) == 198
         outcomes, brute_forced = set(), set()
         for bucket in buckets.values():
-            for (a, pa, _), (b, pb, pin) in itertools.combinations(bucket, 2):
-                f = _any_isomorphism(a, b, pa, pb, pin)
+            for a, b in itertools.combinations(bucket, 2):
+                same = [0] * a.order
+                f = next(_list_isomorphisms(a.table.T.tolist(), b.table.T.tolist(),
+                                            same, same, 0, [0]), None)
                 g = isomorphic(a, b)
                 assert (f is None) == (g is None), (a.label, b.label)
                 for h in (f, g):
@@ -355,24 +391,28 @@ class TestCensus:
                         assert sorted(h) == list(range(a.order))
                         assert is_homomorphism(h, a, b)
                 if f is not None:
-                    assert f[0] == pin[0]
+                    assert f[0] == 0
                 if a.order <= 8:
                     assert (f is None) == (not _brute_force_isomorphic(a, b))
                     brute_forced.add(f is None)
                 outcomes.add(f is None)
         assert outcomes == brute_forced == {False, True}
 
-    def test_dedup_without_pins_searches_every_orbit(self):
-        # in Conj(S3) the identity 0 is an Inn-orbit of its own, so an
-        # isomorphism onto a relabeling must send 0 where that puts it,
-        # which pins of every element allow; the input is not sorted by order
-        q = conj_quandle(catalog("symmetric", 3))
-        pool = [q, trivial_quandle(3), relabel(q, [5, 1, 2, 3, 4, 0]),
-                relabel(trivial_quandle(3), [2, 0, 1]), dihedral_quandle(3)]
-        kept_r, kept_q = dedup_by_isomorphism(list(range(5)), pool,
-                                              every_element(pool))
-        assert kept_r == [0, 1, 4]
-        assert kept_q == [pool[0], pool[1], pool[4]]
+    def test_dedup_inputs_have_one_profile(self, monkeypatch):
+        # the premise of bucketing by the profile of 0: in each quandle the
+        # dedup gets up to max order 32, every element has that profile
+        seen = []
+
+        def capture(records, quandles):
+            seen.extend(quandles)
+            return records, quandles
+
+        monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
+        census_galex(32, dedup=True)
+        for q in seen:
+            profile = invariant_profile(q)
+            assert profile == [profile[0]] * q.order, q.label
+        assert len(seen) == 558
 
     @pytest.mark.parametrize("spec, classes", [
         ("quaternion8", 5),                     # Aut = S4
@@ -383,14 +423,26 @@ class TestCensus:
     ])
     def test_aut_conjugacy_class_counts(self, spec, classes):
         auts = automorphisms(parse_group_spec(spec))
-        leaders = criteria._aut_class_leaders(auts)
-        assert sum(li == c for c, (li, _) in enumerate(leaders)) == classes
-        for c, (li, phi) in enumerate(leaders):
-            assert li <= c and leaders[li][0] == li
+        leader, index = criteria._aut_class_leaders(auts)
+        assert np.count_nonzero(leader == np.arange(len(auts))) == classes
+        for c, (li, p) in enumerate(zip(leader.tolist(), index.tolist())):
+            assert li <= c and leader[li] == li
+            phi = auts[p]
             phi_inv = {int(v): x for x, v in enumerate(phi)}
             conj = tuple(int(phi[auts[li][phi_inv[y]]])
                          for y in range(len(phi)))
             assert conj == tuple(auts[c].tolist())
+
+    def test_aut_class_leaders_match_row_dict(self):
+        # the search over sorted row keys gives the leaders and conjugators
+        # that a dict from row tuples to indices gives, on every group of
+        # census_catalog(64)
+        for g in census_catalog(64):
+            auts = automorphisms(g)
+            leader, index = criteria._aut_class_leaders(auts)
+            want = _aut_class_leaders_by_dict(auts)
+            assert leader.tolist() == [li for li, _ in want], g.name
+            assert np.array_equal(auts[index], [phi for _, phi in want]), g.name
 
     def test_failed_conjugation_certificate_raises(self, monkeypatch):
         # the certificates are checked in batches; one that fails in the
