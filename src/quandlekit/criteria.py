@@ -26,8 +26,6 @@ from .quandles import (
     _galex_tables,
     _homomorphisms,
     _quandles,
-    is_homomorphism,
-    relabel,
 )
 from .tangles import DEFAULT_OUTPUT_CAP
 
@@ -81,8 +79,8 @@ def associated_group_presentation(q: FiniteQuandle):
         raise OutputCapExceeded(
             f"more than {DEFAULT_OUTPUT_CAP} generators and relations: order {n}")
     gens = tuple(f"g{i}" for i in range(n))
-    rels = tuple((f"g{y}^-1 g{x} g{y}", f"g{q.op(x, y)}")
-                 for x in range(n) for y in range(n))
+    rels = tuple((f"{gy}^-1 {gx} {gy}", gens[v])
+                 for gx, row in zip(gens, q.table.tolist()) for gy, v in zip(gens, row))
     return Presentation(generators=gens, relations=rels, kind="associated_group")
 
 
@@ -99,32 +97,20 @@ def census_galex(max_group_order, dedup=False):
     (x g) <| (y g) = sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a
     witness iff (x y^-1, e) is one: `_galex_admissible` reads the flags
     off the pairs (d, e), and the raw census builds no table.  The R_g act
-    transitively, so B is homogeneous: dedup merges each Aut(G)-conjugacy
-    class, checking the conjugator on the tables, and hands the class
-    leaders to `dedup_by_isomorphism`."""
+    transitively, so B is homogeneous.  Dedup merges each Aut(G)-conjugacy
+    class, certified on the maps by `_aut_class_leaders`, and hands the
+    tables of the class leaders alone to `dedup_by_isomorphism`."""
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
     records, quandles = [], []
     for grp in census_catalog(max_group_order):
         s = automorphisms(grp)
-        idx = np.arange(len(s))
-        leader, phi = _aut_class_leaders(s) if dedup else (idx, None)
-        keep = idx[leader == idx].tolist()
+        keep = np.arange(len(s))
+        keep = (keep[_aut_class_leaders(s)[0] == keep] if dedup else keep).tolist()
         records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
                     for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
-        if dedup:       # each other automorphism's conjugator, against its leader
-            kept = dict(zip(keep, (q for _, t in _galex_tables(grp, s[keep])
-                                   for q in _quandles(t))))
-            quandles += kept.values()
-            rest = idx[leader != idx]
-            for a, t in _galex_tables(grp, s[rest]):
-                cs = rest[a:a + len(t)]
-                ok = _homomorphisms(s[phi[cs]], np.array(
-                    [kept[c].table for c in leader[cs].tolist()]), t)
-                if not ok.all():
-                    c = cs[int(np.argmin(ok))]
-                    raise RuntimeError(f"conjugator does not map GAlex({grp.name}, aut "
-                                       f"{leader[c]}) onto GAlex({grp.name}, aut {c})")
+        if dedup:
+            quandles += [q for _, t in _galex_tables(grp, s[keep]) for q in _quandles(t)]
     # A non-leader is isomorphic to its earlier leader, so the first record
     # of every isomorphism class is a leader.
     return dedup_by_isomorphism(records, quandles)[0] if dedup else records
@@ -145,18 +131,30 @@ def _galex_admissible(g, s):
 def _aut_class_leaders(maps):
     """(leader, phi) for the rows of maps, all of Aut(G) in `automorphisms`
     order: leader[c] is the least index in the conjugacy class of sigma_c,
-    and phi[c] indexes a phi with phi sigma_leader[c] phi^-1 = sigma_c, an
-    isomorphism GAlex(G, sigma_leader[c]) -> GAlex(G, sigma_c).  Each
-    conjugate's index is found by its row key among the sorted keys."""
+    and phi[c] indexes a phi with phi sigma phi^-1 = sigma_c, sigma =
+    sigma_leader[c].  One gather per class builds each phi sigma phi^-1,
+    whose key must be among the sorted row keys, or RuntimeError names the
+    conjugator.  Then phi, in Aut(G), is an isomorphism GAlex(G, sigma) ->
+    GAlex(G, sigma_c): phi(sigma(x y^-1) y) = sigma_c(phi(x) phi(y)^-1) phi(y)."""
     keys, inverses = _kernels._row_keys(maps), np.argsort(maps, axis=1)
+    flat, off = maps.ravel(), np.arange(len(maps))[:, None] * maps.shape[1]
     leader, phi = np.full(len(maps), -1), np.zeros(len(maps), dtype=np.int64)
     for i, sigma in enumerate(maps):
         if leader[i] < 0:       # row j of conj is phi_j sigma phi_j^-1
-            conj = np.take_along_axis(maps, sigma[inverses], axis=1)
-            c, j = np.unique(keys.searchsorted(_kernels._row_keys(conj)),
-                             return_index=True)     # all of sigma's class, unseen
+            conj = _kernels._row_keys(np.take(flat, sigma[inverses] + off))
+            at = keys.searchsorted(conj)
+            bad = (keys.take(at, mode="clip") != conj).nonzero()[0]
+            if bad.size:
+                raise RuntimeError(f"conjugator {bad[0]} maps aut {i} out of the rows")
+            c, j = np.unique(at, return_index=True)     # all of sigma's class, unseen
             leader[c], phi[c] = i, j
     return leader, phi
+
+
+def _relabel_stack(t, inv):
+    """relabel(t[i], p_i) for a (k, n, n) stack t and p_i^-1 = inv[i], in one gather."""
+    i = np.arange(len(t))[:, None, None]
+    return np.argsort(inv, axis=1)[i, t[i, inv[:, :, None], inv[:, None, :]]]
 
 
 def dedup_by_isomorphism(records, quandles):
@@ -164,39 +162,41 @@ def dedup_by_isomorphism(records, quandles):
     homogeneous quandles, whose automorphisms move 0 to every element (see
     `census_galex`).  So if A and B are isomorphic, some isomorphism fixes
     0, and every element has the invariant profile of 0: the cycle type of
-    S_0 and the fixed points of row 0.  Quandles of one order at a time are
-    bucketed by that profile, and the search pins f(0) = 0 with no colors
-    to match; only that order's kept quandles hold their search columns,
-    and a map found counts once `is_homomorphism` passes it.
+    S_0 and the fixed points of row 0.  Numpy passes over each order's
+    stack of tables give the profiles, Inn-orbits and relabelled copies.
+    Bucketed by profile of 0, the search pins f(0) = 0 and colors x by its
+    S_0-cycle's length, and a map found counts once the tables pass it as a
+    homomorphism.  An isomorphism f with f(0) = 0 has f S_0 = S_0 f, so it
+    maps x's S_0-cycle onto f(x)'s: the colors prune only non-isomorphisms.
 
-    Each kept A is searched from relabelled with its Inn-orbit leaders (the
-    least element of each orbit) first, then the rest, both ascending: the
-    search branches on the least unmapped element, so on one element per
-    orbit before a second one.  0 is a leader and keeps index 0, so the
-    pin stays valid.
+    Each kept A is searched from relabelled by p with its Inn-orbit leaders
+    (the least element of each orbit) first, then the rest, both
+    ascending: the search branches on the least unmapped element, so on
+    one element per orbit before a second one.  0 is a leader and keeps
+    index 0, so the pin stays valid; p(x) gets x's color (S_0 becomes p S_0 p^-1).
     """
-    by_order = defaultdict(list)
+    keep, by_order = [], defaultdict(list)
     for i, q in enumerate(quandles):
         by_order[q.order].append(i)
-    keep = []
-    for indices in by_order.values():
-        buckets = defaultdict(list)   # profile of 0 -> [(kept quandle, columns)]
-        for i in indices:
-            q = quandles[i]
-            t, ar = q.table, np.arange(q.order)
-            cycle_type = np.sort(_kernels.cycle_lengths(t[:, :1]), axis=None).tolist()
-            bucket = buckets[(tuple(cycle_type), int(np.count_nonzero(t[0] == ar)))]
-            cols, same = t.T.tolist(), [0] * q.order
-            for k, ck in bucket:
-                f = next(_list_isomorphisms(ck, cols, same, same, 0, [0]), None)
-                if f is not None and is_homomorphism(f, k, q):
+    for n, indices in by_order.items():
+        t, ar = np.stack([quandles[i].table for i in indices]), np.arange(n)
+        colors = _kernels.cycle_lengths(t[:, :, 0].T).T    # colors[a, x]: x's S_0-cycle
+        profiles = zip(map(tuple, np.sort(colors, axis=1).tolist()),
+                       np.count_nonzero(t[:, 0] == ar, axis=1).tolist())
+        lab, live = np.tile(ar, (len(t), 1)), np.arange(len(t))
+        while live.size:        # least of each Inn-orbit; the loop drops settled rows
+            new = lab[live[:, None, None], t[live]].min(axis=2)
+            lab[live], live = new, live[(new != lab[live]).any(axis=1)]
+        inv = np.argsort(lab != ar, axis=1, kind="stable")
+        rel, buckets = _relabel_stack(t, inv), defaultdict(list)    # (a, columns, colors)
+        for a, (i, profile) in enumerate(zip(indices, profiles)):
+            bucket, cols, cb = buckets[profile], t[a].T.tolist(), colors[a].tolist()
+            for b, ck, ca in bucket:
+                f = next(_list_isomorphisms(ck, cols, ca, cb, 0, [0]), None)
+                if f is not None and _homomorphisms(np.array([f]), rel[b], t[a:a + 1])[0]:
                     break
             else:
-                lab, prev = ar, None    # least of each Inn-orbit
-                while not np.array_equal(lab, prev):
-                    lab, prev = lab[t].min(axis=1), lab
-                k = relabel(q, np.argsort(np.argsort(lab != ar, kind="stable")))
-                bucket.append((k, k.table.T.tolist()))
+                bucket.append((a, rel[a].T.tolist(), colors[a, inv[a]].tolist()))
                 keep.append(i)
     keep.sort()
     return [records[i] for i in keep], [quandles[i] for i in keep]

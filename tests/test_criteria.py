@@ -1,7 +1,9 @@
 import functools
 import itertools
 import tracemalloc
+import types
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from quandlekit.groups import (
 )
 from quandlekit.quandles import (
     _galex_tables,
+    _homomorphisms,
     _quandles,
     conj_quandle,
     dihedral_quandle,
@@ -37,6 +40,7 @@ from quandlekit.quandles import (
     invariant_profile,
     is_homomorphism,
     isomorphic,
+    relabel,
     trivial_quandle,
     validate_quandle,
 )
@@ -189,6 +193,21 @@ def _aut_class_leaders_by_dict(maps):
     return out
 
 
+@functools.lru_cache
+def _dedup_inputs(max_order):
+    """The (records, quandles) that census_galex(max_order, dedup=True)
+    hands to dedup_by_isomorphism: the Aut(G)-class leaders."""
+    seen = []
+
+    def capture(records, quandles):
+        seen.append((records, quandles))
+        return records, quandles
+
+    with mock.patch.object(criteria, "dedup_by_isomorphism", capture):
+        census_galex(max_order, dedup=True)
+    return seen[0]
+
+
 class TestCensus:
     def test_max_order_1(self):
         records = census_galex(1)
@@ -220,12 +239,13 @@ class TestCensus:
 
     def test_dedup_computes_each_profile_once(self, monkeypatch):
         # one profile per quandle, that of element 0 from the cycle lengths
-        # of its column alone; no per-element profile
+        # of its column alone: one call per order, on the (n, k) array of
+        # the column 0s of its k quandles; no per-element profile
         from quandlekit import quandles
         calls, lengths = [], _kernels.cycle_lengths
 
         def counted(t):
-            calls.append(t.shape)
+            calls.append(t.copy())
             return lengths(t)
 
         def per_element(q):
@@ -236,7 +256,12 @@ class TestCensus:
         monkeypatch.setattr(_kernels, "cycle_lengths", counted)
         monkeypatch.setattr(quandles, "invariant_profile", per_element)
         _, kept_q = dedup_by_isomorphism(records, qs)
-        assert calls == [(q.order, 1) for q in qs]
+        columns = defaultdict(list)
+        for q in qs:
+            columns[q.order].append(q.table[:, 0])
+        assert len(calls) == len(columns)
+        for got, cols in zip(calls, columns.values()):
+            assert np.array_equal(got, np.stack(cols, axis=1))
         assert len(kept_q) < len(qs)
 
     def test_order_too_large(self):
@@ -445,16 +470,85 @@ class TestCensus:
             assert np.array_equal(auts[index], [phi for _, phi in want]), g.name
 
     def test_failed_conjugation_certificate_raises(self, monkeypatch):
-        # the certificates are checked in batches; one that fails in the
-        # last place of its batch is enough
-        def last_fails(f, s, t):
-            ok = np.ones(len(f), dtype=bool)
-            ok[-1] = False
-            return ok
+        # the conjugates of a class are certified as one array of row keys;
+        # one missing from the rows in the last place of its class is
+        # enough, whether its key falls before a row (b"") or past the last
+        # one.  Only criteria's _row_keys is patched, and automorphisms
+        # returns read-only maps, so only the conjugates' keys change
+        def last_missing(fill):
+            def row_keys(rows):
+                keys = _kernels._row_keys(rows)
+                if rows.flags.writeable:
+                    keys[-1] = fill
+                return keys
+            return types.SimpleNamespace(**{**vars(_kernels), "_row_keys": row_keys})
 
-        monkeypatch.setattr(criteria, "_homomorphisms", last_fails)
-        with pytest.raises(RuntimeError, match="conjugator"):
-            census_galex(4, dedup=True)
+        for fill in (b"", b"\xff" * 8):
+            monkeypatch.setattr(criteria, "_kernels", last_missing(fill))
+            with pytest.raises(RuntimeError, match="conjugator"):
+                census_galex(4, dedup=True)
+
+    def test_conjugators_are_isomorphisms_on_the_tables(self):
+        # the census certifies each Aut(G)-class merge on the maps; this
+        # checks it on the tables: for every non-leader c of every group up
+        # to order 32, phi[c] maps GAlex(G, sigma_leader[c]) homomorphically
+        # (and, as an automorphism of G, bijectively) onto GAlex(G, sigma_c)
+        checked = 0
+        for g in census_catalog(32):
+            s = automorphisms(g)
+            leader, phi = criteria._aut_class_leaders(s)
+            rest = np.flatnonzero(leader != np.arange(len(s)))
+            if rest.size:
+                src = np.concatenate([t for _, t in _galex_tables(g, s[leader[rest]])])
+                dst = np.concatenate([t for _, t in _galex_tables(g, s[rest])])
+                assert _homomorphisms(s[phi[rest]], src, dst).all(), g.name
+                checked += rest.size
+        assert checked == 1234
+
+    def test_stacked_relabel_matches_relabel(self, monkeypatch):
+        # per order of the dedup inputs at max order 32, the stacked
+        # Inn-orbit permutations are those of a min-label loop per quandle,
+        # and each stacked relabelled table is relabel(q, perm)
+        records, qs = _dedup_inputs(32)
+        stacks, relabel_stack = [], criteria._relabel_stack
+
+        def capture(t, inv):
+            stacks.append((t, inv, relabel_stack(t, inv)))
+            return stacks[-1][2]
+
+        monkeypatch.setattr(criteria, "_relabel_stack", capture)
+        dedup_by_isomorphism(records, qs)
+        by_order = defaultdict(list)
+        for q in qs:
+            by_order[q.order].append(q)
+        assert len(stacks) == len(by_order)
+        for (t, inv, rel), group in zip(stacks, by_order.values()):
+            assert len(t) == len(group)
+            for a, q in enumerate(group):
+                ar, lab, prev = np.arange(q.order), np.arange(q.order), None
+                while not np.array_equal(lab, prev):
+                    lab, prev = lab[q.table].min(axis=1), lab
+                perm = np.argsort(np.argsort(lab != ar, kind="stable"))
+                assert np.array_equal(t[a], q.table)
+                assert np.array_equal(inv[a], np.argsort(perm))
+                assert np.array_equal(rel[a], relabel(q, perm).table), q.label
+
+    def test_colored_dedup_keeps_what_constant_colors_keep(self, monkeypatch):
+        # the S_0-cycle colors prune only maps that are no isomorphism: on
+        # the dedup inputs at max order 32, a search with constant colors
+        # keeps the same records; the colors were not all constant
+        records, qs = _dedup_inputs(32)
+        colored = dedup_by_isomorphism(records, qs)[0]
+        search, varied = _list_isomorphisms, []
+
+        def constant(sa, sb, ca, cb, x0, images):
+            varied.append(len(set(ca)) > 1)
+            same = [0] * len(ca)
+            return search(sa, sb, same, same, x0, images)
+
+        monkeypatch.setattr(criteria, "_list_isomorphisms", constant)
+        assert dedup_by_isomorphism(records, qs)[0] == colored
+        assert any(varied) and len(colored) < len(records)
 
     def test_format(self):
         records = [CensusRecord("cyclic(1)", 1, 0, 1, True, True, True)]
