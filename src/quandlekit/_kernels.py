@@ -115,13 +115,14 @@ def assoc_violation(table):
     return _first_cube_mismatch(table, (ar * n)[:, None, None], ar)
 
 
-def self_distrib_violation(table):
+def self_distrib_violation(table, classes=None):
     """First (x, y, z) violating (x<|y)<|z == (x<|z)<|(y<|z), else None.
     A table that passes `_self_distrib_certified` has none; any other gets
     the scan, which reports the first violation.  With all columns distinct
-    the certificate is the scan itself, so it is skipped."""
+    the certificate is the scan itself, so it is skipped.  `classes` is
+    `_column_classes(table)` when the caller has computed it."""
     n = table.shape[0]        # (x<|z)<|(y<|z) = t.flat[t[x,z]*n + t[y,z]]
-    reps, rep = _column_classes(table)
+    reps, rep = _column_classes(table) if classes is None else classes
     if reps.size < n and _self_distrib_certified(table, reps, rep):
         return None
     return _first_cube_mismatch(table, (table.take(reps, axis=1) * n)[:, None, :], reps)

@@ -93,11 +93,11 @@ def _square_table(table):
 
 
 def _first_repeat(lines):
-    """The first row of a table from `_square_table` (pass its transpose
-    for columns) that is not a permutation, as (index, first entry
-    repeated in scan order); None if every row is a permutation."""
+    """The first of k rows of an n x n table from `_square_table` (pass
+    its transpose for columns) that is not a permutation, as (index, first
+    entry repeated in scan order); None if every row is a permutation."""
     hit = _kernels.first_hit(
-        (np.sort(lines, axis=1) != np.arange(lines.shape[0])).any(axis=1))
+        (np.sort(lines, axis=1) != np.arange(lines.shape[1])).any(axis=1))
     if hit is None:
         return None
     i, = hit
@@ -453,6 +453,11 @@ def automorphisms(g: FiniteGroup):
     x -> row[x] of one automorphism, and the rows are sorted
     lexicographically.
 
+    They come out sorted with no sort: two automorphisms that first differ
+    on h_j agree on H_(j-1), which holds every x < h_j, so as rows they
+    first differ at index h_j; and each stage expands the rows in
+    (earlier row, ascending candidate) order.
+
     Stage j extends each injective homomorphism H_(j-1) -> G (see
     `_generation`) by every image of h_j of the same element order, fills
     H_j by f(y w) = f(y) f(w) one layer at a time, and keeps the rows with
@@ -487,8 +492,7 @@ def automorphisms(g: FiniteGroup):
                     f"partial automorphisms, on its order-{end} subgroup")
                 raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
         f = np.concatenate(kept)
-    maps = f[:, pos]
-    maps = maps[_kernels._row_keys(maps).argsort(kind="stable")]
+    maps = f.take(pos, axis=1)      # C order: f[:, pos] is in Fortran order
     maps.setflags(write=False)
     return maps
 
@@ -501,12 +505,15 @@ def _parse_table_file(text, kind):
     an int64 array; the caller validates the axioms.  Raises OrderTooLarge
     past MAX_TABLE_ORDER before reading any row.
 
+    The comment and blank-line filter runs only when the text has a `#` or
+    a blank or whitespace-only line: both readers skip outer whitespace.
     Entries are read by numpy's C text reader.  Rows it rejects, warns on
     or reads to the wrong shape are read again one by one with int(): only
     int() takes underscores and non-ASCII digits, and only the row loop
-    names the first bad row and tells overflow from a non-integer."""
-    lines = [ln for ln in (raw.split("#")[0].strip() for raw in text.splitlines())
-             if ln]
+    names the first bad row (stripped) and tells overflow from a non-integer."""
+    lines = text.splitlines()
+    if "#" in text or not all(ln and not ln.isspace() for ln in lines):
+        lines = [ln for ln in (raw.split("#")[0].strip() for raw in lines) if ln]
     if not lines:
         raise FileFormatError(f"empty {kind} file")
     head = lines[0].split()
@@ -533,6 +540,7 @@ def _parse_table_file(text, kind):
         pass
     table = np.empty((n, n), dtype=np.int64)
     for i, ln in enumerate(lines[1:]):
+        ln = ln.strip()
         try:
             row = np.array(ln.split(), dtype=np.int64)    # parses as int()
         except ValueError:

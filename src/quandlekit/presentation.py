@@ -16,14 +16,14 @@ class Presentation:
 
     def __post_init__(self):
         # every relation must reference only listed generators; relations
-        # store (lhs, rhs) textual pairs built from generator names
-        gens = set(self.generators)
+        # store (lhs, rhs) textual pairs built from generator names.  One
+        # subset test per relation; only a failing one is scanned token by token
+        gens = set(self.generators) | {"<|", "<|~", "="}
         for lhs, rhs in self.relations:
-            for tok in (lhs + " " + rhs).replace("^-1", "").split():
-                if tok in ("<|", "<|~", "="):
-                    continue
-                if tok not in gens:
-                    raise ValueError(f"relation references unknown generator {tok!r}")
+            toks = (lhs + " " + rhs).replace("^-1", "").split()
+            if not gens.issuperset(toks):
+                bad = next(tok for tok in toks if tok not in gens)
+                raise ValueError(f"relation references unknown generator {bad!r}")
 
     def format(self):
         out = [f"gen {g}" for g in self.generators]

@@ -56,22 +56,36 @@ def validate_quandle(table, label=""):
     Works on a copy, so the caller's array stays writable and unshared.
     Raises NotIdempotent / ColumnNotBijective / NotSelfDistributive with the
     first violating indices.
+
+    Equal columns are bijective, and invert, together, so the k classes of
+    `_kernels._column_classes`, found once, serve three steps: only the k
+    representative columns are sorted (the first column that is not a
+    permutation is the least of its class, a representative), the
+    self-distributivity kernel takes them, and the inverse is scattered
+    over the representatives and gathered by class.
     """
     t = _square_table(table)
     del table         # a parsed file's array is freed before the n^3 scan
+    n = t.shape[0]
 
-    hit = _kernels.first_hit(np.diagonal(t) != np.arange(t.shape[0]))
+    hit = _kernels.first_hit(np.diagonal(t) != np.arange(n))
     if hit:
         raise NotIdempotent(*hit)
 
-    col = _first_repeat(t.T)
+    reps, rep = classes = _kernels._column_classes(t)
+    col = _first_repeat(t.T[reps])      # its (k, n) copy is freed here
     if col is not None:
-        raise ColumnNotBijective(col[0])
+        raise ColumnNotBijective(int(reps[col[0]]))
 
-    hit = _kernels.self_distrib_violation(t)
+    hit = _kernels.self_distrib_violation(t, classes)
     if hit:
         raise NotSelfDistributive(*hit)
-    return _quandle(t, label)
+    inv = np.empty((n, reps.size), dtype=np.int64)    # inv[:, i] inverts S_reps[i]
+    inv[t.take(reps, axis=1), np.arange(reps.size)] = np.arange(n)[:, None]
+    inv = inv.take(reps.searchsorted(rep), axis=1)
+    t.setflags(write=False)
+    inv.setflags(write=False)
+    return FiniteQuandle(order=n, table=t, inv_table=inv, label=label)
 
 
 def _quandles(t, label=""):

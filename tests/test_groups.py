@@ -403,13 +403,30 @@ class TestAutomorphisms:
             assert all(a < b for a, b in zip(maps, maps[1:])), g.name
 
     def test_rows_in_lexsort_order(self):
-        """The one byte-string key per row sorts as np.lexsort does, also
-        for a group of order 300, whose entries take two bytes."""
+        """The rows come out sorted with no sort, for every CENSUS_SPECS
+        group and for relabelled groups whose identity is not 0: their
+        byte-string keys strictly increase, and they sort as np.lexsort
+        does, also for a group of order 300, whose entries take two bytes.
+        The array is in C order, which the row gathers downstream assume."""
+        rng = np.random.default_rng(20261020)
         gs = census_catalog(64) + [validate_group(
             (np.arange(300)[:, None] + np.arange(300)) % 300, name="cyclic(300)")]
-        for g in gs:
+        assert len(gs) == len(CENSUS_SPECS) + 1
+        relabelled = []
+        for i in rng.choice(np.arange(1, len(gs) - 1), size=25, replace=False):
+            t, p = gs[i].table, rng.permutation(gs[i].order)
+            if p[gs[i].identity] == 0:
+                p = np.roll(p, 1)
+            r = np.empty_like(t)
+            r[np.ix_(p, p)] = p[t]
+            relabelled.append(validate_group(r, name=f"{gs[i].name}~"))
+        assert all(g.identity != 0 for g in relabelled)
+        for g in relabelled + gs:
             maps = automorphisms(g)
+            keys = _kernels._row_keys(maps)
+            assert (keys[:-1] < keys[1:]).all(), g.name
             assert np.array_equal(maps, maps[np.lexsort(maps.T[::-1])]), g.name
+            assert maps.flags.c_contiguous, g.name
         assert len(maps) == 80 and maps.max() > 255
 
     def test_cap_raises(self, monkeypatch):

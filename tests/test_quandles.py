@@ -24,6 +24,7 @@ from quandlekit.errors import (
 from quandlekit.groups import (
     MAX_TABLE_ORDER,
     Subgroup,
+    _first_repeat,
     _list_isomorphisms,
     _parse_table_file,
     automorphisms,
@@ -35,6 +36,7 @@ from quandlekit.groups import (
     direct_product,
     normal_subgroups,
     parse_group_file,
+    parse_group_spec,
     subgroups,
     validate_group,
 )
@@ -116,7 +118,7 @@ class TestValidateQuandle:
         text = format_quandle_file(dihedral_quandle(n))
         held = []
 
-        def record(t):
+        def record(t, classes=None):
             held.append(tracemalloc.get_traced_memory()[0])
             return None
 
@@ -483,6 +485,70 @@ def test_validate_quandle_matches_loop_oracle(seeded_tables):
     # the tables reach every check that runs before the kernel, whose
     # first hits TestKernelsMatchLoops pins
     assert kinds == {"ok", "NotIdempotent", "ColumnNotBijective"}
+
+
+# the hopf-ext quandles of the queries benchmark deck, orders 16 to 288:
+# (group spec, order of the normal subgroup, None for the whole group)
+DECK_HOPF = [("symmetric:4", 12), ("dihedral:12", 12), ("dihedral:8", None),
+             ("cyclic:2*cyclic:4", None), ("symmetric:3", None), ("quaternion8", 2)]
+
+
+@pytest.fixture(scope="module")
+def class_tables():
+    """Quandle tables with few distinct columns (trivial, R_n for even n,
+    the deck's hopf-ext quandles) and with all columns distinct (R_n for
+    odd n, Conj(S4))."""
+    qs = [trivial_quandle(7), dihedral_quandle(10), dihedral_quandle(64),
+          dihedral_quandle(11), dihedral_quandle(63), conj_quandle(catalog("symmetric", 4))]
+    for spec, order in DECK_HOPF:
+        g = parse_group_spec(spec)
+        qs.append(hopf_extension(g, next(s for s in normal_subgroups(g)
+                                         if s.order == (order or g.order))))
+    return [np.array(q.table) for q in qs]
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["hashed", "colliding"])
+class TestColumnClassValidation:
+    """`validate_quandle` checks and inverts one column per column class;
+    the per-column computations are the oracle: `_first_repeat` over every
+    column, and the scatter of `_quandles` over every entry.  With
+    colliding hashes every column is its own class."""
+
+    @staticmethod
+    def weights(collide, monkeypatch):
+        if collide:
+            monkeypatch.setattr(_kernels, "_HASH_WEIGHTS", np.zeros(1024, dtype=np.int64))
+
+    def test_reported_column_is_first_repeat(self, class_tables, collide, monkeypatch):
+        self.weights(collide, monkeypatch)
+        rng = np.random.default_rng(20261020)
+        kinds = set()
+        for t in class_tables:
+            n, rep = t.shape[0], np.array(_columns_loop(t))
+            size = np.bincount(rep, minlength=n)[rep]
+            # a column in a class with several members, and one in the last class
+            for kind, pool in (("shared", np.flatnonzero(size > 1)),
+                               ("last", np.flatnonzero(rep == rep.max()))):
+                for y in rng.choice(pool, size=min(3, pool.size), replace=False):
+                    x, x2 = rng.choice(np.setdiff1d(np.arange(n), [y]), size=2, replace=False)
+                    m = t.copy()
+                    m[x, y] = m[x2, y]           # the diagonal stays, column y repeats
+                    with pytest.raises(ColumnNotBijective) as exc:
+                        validate_quandle(m)
+                    assert exc.value.y == _first_repeat(m.T)[0] == y
+                    kinds.add((kind, bool(rep[y] == y)))
+        # the mutated column was a class's representative and a later member
+        assert {k for _, k in kinds} == {True, False}
+        assert {k for k, _ in kinds} == {"shared", "last"}
+
+    def test_inverse_matches_scatter(self, class_tables, collide, monkeypatch):
+        self.weights(collide, monkeypatch)
+        for t in class_tables:
+            q = validate_quandle(t)
+            want = quandles._quandles(t.copy()[None])[0]
+            assert q.same_table(want)
+            assert np.array_equal(q.inv_table, want.inv_table)
+            assert not q.inv_table.flags.writeable and not q.table.flags.writeable
 
 
 class TestConjQuandle:
@@ -933,7 +999,7 @@ class TestConstructorsValidate:
 def test_fast_path_skips_self_distributivity_scan(monkeypatch):
     """Constructors proven by algebra never reach the n^3 scan; file and
     validator input still does."""
-    def boom(table):
+    def boom(table, classes=None):
         raise AssertionError("self_distrib_violation called")
 
     monkeypatch.setattr(quandles._kernels, "self_distrib_violation", boom)
@@ -1021,6 +1087,42 @@ class TestQuandleFiles:
         # underscores and Unicode digits (U+0661 is ARABIC-INDIC DIGIT ONE)
         q = parse_quandle_file("quandle 2\n+0 0_0\n\u0661 01\n")
         assert q.same_table(trivial_quandle(2))
+
+    # (lines, the table or the FileFormatError text of the clean file)
+    DECORATED_CASES = [
+        (["quandle 3", "0 2 1", "2 1 0", "1 0 2"], [[0, 2, 1], [2, 1, 0], [1, 0, 2]]),
+        (["quandle 3", "0 2 1", "2 x 0", "1 0 2"], "non-integer entry in row: '2 x 0'"),
+        (["quandle 3", "0 2 1", "2 1", "1 0 2"], "row has 2 entries, expected 3"),
+        (["quandle 2", "0 0", "1 99999999999999999999"],
+         "entry outside the int64 range in row: '1 99999999999999999999'"),
+        (["quandle 3", "0 2 1", "2 1 0"], "expected 3 table rows, got 2"),
+        (["quandle x", "0"], "first line must be 'quandle <n>'"),
+    ]
+
+    @pytest.mark.parametrize("decorate", [
+        lambda ln: ln,
+        lambda ln: ln + "   ",
+        lambda ln: "\t" + ln + " \t",
+        lambda ln: ln + "\r",                     # CRLF line ends
+        lambda ln: ln + "  # note",
+        lambda ln: "# note\n" + ln,
+        lambda ln: " \t \n" + ln,                 # a whitespace-only line
+        lambda ln: "\n" + ln + " ",                # a blank line, trailing space
+    ], ids=["clean", "trailing-spaces", "tabs", "crlf", "comment", "comment-line",
+            "whitespace-line", "blank-line"])
+    def test_blank_lines_comments_and_outer_whitespace(self, decorate):
+        """Lines with or without outer whitespace, comments and blank
+        lines give the clean file's table or error text: the filter runs
+        only when the text has a `#` or a blank line, and the row loop
+        quotes a row stripped."""
+        for lines, want in self.DECORATED_CASES:
+            text = "\n".join(map(decorate, lines)) + "\n"
+            if isinstance(want, str):
+                with pytest.raises(FileFormatError) as exc:
+                    _parse_table_file(text, "quandle")
+                assert str(exc.value) == want, text
+            else:
+                assert _parse_table_file(text, "quandle").tolist() == want, text
 
     @staticmethod
     def _rows_by_int(rows, n):

@@ -461,6 +461,14 @@ class TestPresentation:
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown generator 'a2'"):
             Presentation(("a0", "a1"), (("a0 <| a2", "a1"),), "fundamental_quandle")
+        # the first unknown token in relation order, then token order,
+        # after ^-1 is dropped; operators are not generators
+        for rels, bad in [((("a0 <| a1", "a1"), ("a1^-1 a3 a1", "a2")), "a3"),
+                          ((("a1 <|~ a0", "a4"), ("a0^-1 a3", "a5")), "a4"),
+                          ((("a0^-1^-1 a1", "a0^-a1"),), "a0^-a1")]:
+            with pytest.raises(ValueError) as exc:
+                Presentation(("a0", "a1"), rels, "associated_group")
+            assert str(exc.value) == f"relation references unknown generator {bad!r}"
 
     def test_trefoil(self):
         p = fundamental_quandle_presentation(builtin_tangle("trefoil"))
