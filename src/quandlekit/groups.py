@@ -93,11 +93,11 @@ def _square_table(table):
 
 
 def _first_repeat(lines):
-    """The first of k rows of an n x n table from `_square_table` (pass
-    its transpose for columns) that is not a permutation, as (index, first
-    entry repeated in scan order); None if every row is a permutation."""
+    """The first row of a table from `_square_table` (pass its transpose
+    for columns) that is not a permutation, as (index, first entry
+    repeated in scan order); None if every row is a permutation."""
     hit = _kernels.first_hit(
-        (np.sort(lines, axis=1) != np.arange(lines.shape[1])).any(axis=1))
+        (np.sort(lines, axis=1) != np.arange(lines.shape[0])).any(axis=1))
     if hit is None:
         return None
     i, = hit
@@ -505,15 +505,12 @@ def _parse_table_file(text, kind):
     an int64 array; the caller validates the axioms.  Raises OrderTooLarge
     past MAX_TABLE_ORDER before reading any row.
 
-    The comment and blank-line filter runs only when the text has a `#` or
-    a blank or whitespace-only line: both readers skip outer whitespace.
     Entries are read by numpy's C text reader.  Rows it rejects, warns on
     or reads to the wrong shape are read again one by one with int(): only
     int() takes underscores and non-ASCII digits, and only the row loop
-    names the first bad row (stripped) and tells overflow from a non-integer."""
-    lines = text.splitlines()
-    if "#" in text or not all(ln and not ln.isspace() for ln in lines):
-        lines = [ln for ln in (raw.split("#")[0].strip() for raw in lines) if ln]
+    names the first bad row and tells overflow from a non-integer."""
+    lines = [ln for ln in (raw.split("#")[0].strip() for raw in text.splitlines())
+             if ln]
     if not lines:
         raise FileFormatError(f"empty {kind} file")
     head = lines[0].split()
@@ -540,7 +537,6 @@ def _parse_table_file(text, kind):
         pass
     table = np.empty((n, n), dtype=np.int64)
     for i, ln in enumerate(lines[1:]):
-        ln = ln.strip()
         try:
             row = np.array(ln.split(), dtype=np.int64)    # parses as int()
         except ValueError:

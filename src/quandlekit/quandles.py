@@ -25,7 +25,6 @@ from .errors import (
 from .groups import MAX_TABLE_ORDER, FiniteGroup, Subgroup
 from .groups import (
     _closure,
-    _first_repeat,
     _format_table_file,
     _list_isomorphisms,
     _parse_table_file,
@@ -57,32 +56,38 @@ def validate_quandle(table, label=""):
     Raises NotIdempotent / ColumnNotBijective / NotSelfDistributive with the
     first violating indices.
 
-    Equal columns are bijective, and invert, together, so the k classes of
-    `_kernels._column_classes`, found once, serve three steps: only the k
-    representative columns are sorted (the first column that is not a
-    permutation is the least of its class, a representative), the
-    self-distributivity kernel takes them, and the inverse is scattered
-    over the representatives and gathered by class.
+    Equal columns are bijective, and invert, together: the k classes of
+    `_kernels._column_classes` are found once, only the k representative
+    columns (each the least of its class) are sorted and inverted, and the
+    self-distributivity kernel takes the classes.
     """
     t = _square_table(table)
     del table         # a parsed file's array is freed before the n^3 scan
     n = t.shape[0]
+    ar = np.arange(n)
 
-    hit = _kernels.first_hit(np.diagonal(t) != np.arange(n))
+    hit = _kernels.first_hit(np.diagonal(t) != ar)
     if hit:
         raise NotIdempotent(*hit)
 
     reps, rep = classes = _kernels._column_classes(t)
-    col = _first_repeat(t.T[reps])      # its (k, n) copy is freed here
-    if col is not None:
-        raise ColumnNotBijective(int(reps[col[0]]))
+    cols = t.T[reps]                    # (k, n) copy, sorted in place
+    cols.sort(axis=1)
+    hit = _kernels.first_hit((cols != ar).any(axis=1))
+    del cols                            # freed before the n^3 scan
+    if hit:
+        raise ColumnNotBijective(int(reps[hit[0]]))
 
     hit = _kernels.self_distrib_violation(t, classes)
     if hit:
         raise NotSelfDistributive(*hit)
-    inv = np.empty((n, reps.size), dtype=np.int64)    # inv[:, i] inverts S_reps[i]
-    inv[t.take(reps, axis=1), np.arange(reps.size)] = np.arange(n)[:, None]
-    inv = inv.take(reps.searchsorted(rep), axis=1)
+    inv = np.empty((n, n), dtype=np.int64)
+    step = max(1, _kernels._SLAB // n)      # no temporary holds a whole table
+    for c in range(0, reps.size, step):     # invert the representative columns
+        r = reps[c:c + step]
+        inv[t.take(r, axis=1), r] = ar[:, None]
+    for x in range(0, n, step):             # and copy each over its class
+        inv[x:x + step] = inv[x:x + step].take(rep, axis=1)
     t.setflags(write=False)
     inv.setflags(write=False)
     return FiniteQuandle(order=n, table=t, inv_table=inv, label=label)

@@ -550,6 +550,12 @@ class TestColumnClassValidation:
             assert np.array_equal(q.inv_table, want.inv_table)
             assert not q.inv_table.flags.writeable and not q.table.flags.writeable
 
+    def test_inverse_in_small_blocks(self, class_tables, collide, monkeypatch):
+        # the inverse is built in blocks of at most _SLAB entries: here one
+        # to fourteen columns or rows each, where tier-1 tables fit in one
+        monkeypatch.setattr(_kernels, "_SLAB", 100)
+        self.test_inverse_matches_scatter(class_tables, collide, monkeypatch)
+
 
 class TestConjQuandle:
     def test_abelian_gives_trivial(self):
