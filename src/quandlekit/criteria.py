@@ -21,12 +21,7 @@ from . import _kernels
 from .errors import OrderTooLarge, OutputCapExceeded
 from .groups import DEFAULT_MAX_ORDER, _list_isomorphisms, automorphisms, census_catalog
 from .presentation import Presentation
-from .quandles import (
-    FiniteQuandle,
-    _galex_tables,
-    _homomorphisms,
-    _quandles,
-)
+from .quandles import FiniteQuandle, _galex_tables, _homomorphisms
 from .tangles import DEFAULT_OUTPUT_CAP
 
 
@@ -99,10 +94,11 @@ def census_galex(max_group_order, dedup=False):
     off the pairs (d, e), and the raw census builds no table.  The R_g act
     transitively, so B is homogeneous.  Dedup merges each Aut(G)-conjugacy
     class, certified on the maps by `_aut_class_leaders`, and hands the
-    tables of the class leaders alone to `dedup_by_isomorphism`."""
+    (n, n) table slices of the class leaders alone, from `_galex_tables`,
+    to `dedup_by_isomorphism`: no quandle object and no inverse table."""
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
-    records, quandles = [], []
+    records, tables = [], []
     for grp in census_catalog(max_group_order):
         s = automorphisms(grp)
         keep = np.arange(len(s))
@@ -110,10 +106,10 @@ def census_galex(max_group_order, dedup=False):
         records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
                     for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
         if dedup:
-            quandles += [q for _, t in _galex_tables(grp, s[keep]) for q in _quandles(t)]
+            tables += [x for _, t in _galex_tables(grp, s[keep]) for x in t]
     # A non-leader is isomorphic to its earlier leader, so the first record
     # of every isomorphism class is a leader.
-    return dedup_by_isomorphism(records, quandles)[0] if dedup else records
+    return dedup_by_isomorphism(records, tables)[0] if dedup else records
 
 
 def _galex_admissible(g, s):
@@ -131,14 +127,15 @@ def _galex_admissible(g, s):
 def _aut_class_leaders(maps):
     """(leader, phi) for the rows of maps, all of Aut(G) in `automorphisms`
     order: leader[c] is the least index in the conjugacy class of sigma_c,
-    and phi[c] indexes a phi with phi sigma phi^-1 = sigma_c, sigma =
-    sigma_leader[c].  One gather per class builds each phi sigma phi^-1,
-    whose key must be among the sorted row keys, or RuntimeError names the
-    conjugator.  Then phi, in Aut(G), is an isomorphism GAlex(G, sigma) ->
+    and phi[c] is the least index of a phi with phi sigma phi^-1 = sigma_c,
+    sigma = sigma_leader[c].  One gather per class builds each phi sigma
+    phi^-1, whose key must be among the sorted row keys, or RuntimeError
+    names the conjugator.  Then phi, in Aut(G), is an isomorphism GAlex(G, sigma) ->
     GAlex(G, sigma_c): phi(sigma(x y^-1) y) = sigma_c(phi(x) phi(y)^-1) phi(y)."""
     keys, inverses = _kernels._row_keys(maps), np.argsort(maps, axis=1)
-    flat, off = maps.ravel(), np.arange(len(maps))[:, None] * maps.shape[1]
-    leader, phi = np.full(len(maps), -1), np.zeros(len(maps), dtype=np.int64)
+    ar, flat = np.arange(len(maps)), maps.ravel()
+    off = ar[:, None] * maps.shape[1]
+    leader, phi = np.full(len(maps), -1), np.full(len(maps), len(maps))
     for i, sigma in enumerate(maps):
         if leader[i] < 0:       # row j of conj is phi_j sigma phi_j^-1
             conj = _kernels._row_keys(np.take(flat, sigma[inverses] + off))
@@ -146,8 +143,8 @@ def _aut_class_leaders(maps):
             bad = (keys.take(at, mode="clip") != conj).nonzero()[0]
             if bad.size:
                 raise RuntimeError(f"conjugator {bad[0]} maps aut {i} out of the rows")
-            c, j = np.unique(at, return_index=True)     # all of sigma's class, unseen
-            leader[c], phi[c] = i, j
+            leader[at] = i      # all of sigma's class, unseen; phi[c]: least j at c
+            np.minimum.at(phi, at, ar)
     return leader, phi
 
 
@@ -157,17 +154,19 @@ def _relabel_stack(t, inv):
     return np.argsort(inv, axis=1)[i, t[i, inv[:, :, None], inv[:, None, :]]]
 
 
-def dedup_by_isomorphism(records, quandles):
-    """Keep the first record of each quandle isomorphism class, for
-    homogeneous quandles, whose automorphisms move 0 to every element (see
-    `census_galex`).  So if A and B are isomorphic, some isomorphism fixes
-    0, and every element has the invariant profile of 0: the cycle type of
-    S_0 and the fixed points of row 0.  Numpy passes over each order's
-    stack of tables give the profiles, Inn-orbits and relabelled copies.
+def dedup_by_isomorphism(records, tables):
+    """(kept records, kept tables), the first of each isomorphism class,
+    for `tables` the (n, n) tables of proved homogeneous quandles, whose
+    automorphisms move 0 to every element (see `census_galex`).  So if A
+    and B are isomorphic, some isomorphism fixes 0, and every element has
+    the invariant profile of 0: the cycle type of S_0 and the fixed points
+    of row 0.  Numpy passes over each order's stack of tables give the
+    profiles, Inn-orbits and relabelled copies, listed once per order.
     Bucketed by profile of 0, the search pins f(0) = 0 and colors x by its
-    S_0-cycle's length, and a map found counts once the tables pass it as a
-    homomorphism.  An isomorphism f with f(0) = 0 has f S_0 = S_0 f, so it
-    maps x's S_0-cycle onto f(x)'s: the colors prune only non-isomorphisms.
+    S_0-cycle's length.  An isomorphism f with f(0) = 0 has f S_0 = S_0 f,
+    so it maps x's S_0-cycle onto f(x)'s: the colors prune only
+    non-isomorphisms.  One pass per order checks every map found as a
+    homomorphism on the tables; RuntimeError names one that fails.
 
     Each kept A is searched from relabelled by p with its Inn-orbit leaders
     (the least element of each orbit) first, then the rest, both
@@ -176,10 +175,10 @@ def dedup_by_isomorphism(records, quandles):
     index 0, so the pin stays valid; p(x) gets x's color (S_0 becomes p S_0 p^-1).
     """
     keep, by_order = [], defaultdict(list)
-    for i, q in enumerate(quandles):
-        by_order[q.order].append(i)
+    for i, t in enumerate(tables):
+        by_order[len(t)].append(i)
     for n, indices in by_order.items():
-        t, ar = np.stack([quandles[i].table for i in indices]), np.arange(n)
+        t, ar = np.stack([tables[i] for i in indices]), np.arange(n)
         colors = _kernels.cycle_lengths(t[:, :, 0].T).T    # colors[a, x]: x's S_0-cycle
         profiles = zip(map(tuple, np.sort(colors, axis=1).tolist()),
                        np.count_nonzero(t[:, 0] == ar, axis=1).tolist())
@@ -188,18 +187,27 @@ def dedup_by_isomorphism(records, quandles):
             new = lab[live[:, None, None], t[live]].min(axis=2)
             lab[live], live = new, live[(new != lab[live]).any(axis=1)]
         inv = np.argsort(lab != ar, axis=1, kind="stable")
-        rel, buckets = _relabel_stack(t, inv), defaultdict(list)    # (a, columns, colors)
-        for a, (i, profile) in enumerate(zip(indices, profiles)):
-            bucket, cols, cb = buckets[profile], t[a].T.tolist(), colors[a].tolist()
-            for b, ck, ca in bucket:
-                f = next(_list_isomorphisms(ck, cols, ca, cb, 0, [0]), None)
-                if f is not None and _homomorphisms(np.array([f]), rel[b], t[a:a + 1])[0]:
+        rel = _relabel_stack(t, inv)
+        cols, rcols = t.transpose(0, 2, 1).tolist(), rel.transpose(0, 2, 1).tolist()
+        cb, ca = colors.tolist(), np.take_along_axis(colors, inv, axis=1).tolist()
+        buckets, merges = defaultdict(list), []     # merges: (f, kept b, a)
+        for a, profile in enumerate(profiles):
+            bucket = buckets[profile]
+            for b in bucket:
+                f = next(_list_isomorphisms(rcols[b], cols[a], ca[b], cb[a], 0, [0]), None)
+                if f is not None:
+                    merges.append((f, b, a))
                     break
             else:
-                bucket.append((a, rel[a].T.tolist(), colors[a, inv[a]].tolist()))
-                keep.append(i)
+                bucket.append(a)
+                keep.append(indices[a])
+        if merges:
+            f, b, a = map(np.array, zip(*merges))
+            bad = np.flatnonzero(~_homomorphisms(f, rel[b], t[a]))
+            if bad.size:
+                raise RuntimeError(f"search map {f[bad[0]].tolist()} is no isomorphism")
     keep.sort()
-    return [records[i] for i in keep], [quandles[i] for i in keep]
+    return [records[i] for i in keep], [tables[i] for i in keep]
 
 
 def format_census(records):

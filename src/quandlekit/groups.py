@@ -431,14 +431,15 @@ def _generation(g: FiniteGroup):
     m, n = g.table, g.order
     seq, stages, reached = np.array([g.identity]), [], np.zeros(n, dtype=bool)
     reached[g.identity] = True
-    while not reached.all():
+    while seq.size < n:                 # seq lists the reached elements
         k, h = seq.size, int(np.argmin(reached))
         seq, layers = np.append(seq, h), []
         reached[h] = True
-        while not reached.all():        # at H_j = G, no product confirms closure
+        while seq.size < n:             # at H_j = G, no product confirms closure
             src = np.full(n, -1)            # a pair (y, w) per product
             src[m[seq[:, None], seq].ravel()] = np.arange(seq.size ** 2)
-            new = np.flatnonzero((src >= 0) & ~reached)
+            src[reached] = -1
+            new = np.flatnonzero(src >= 0)
             if not new.size:
                 break
             layers.append((seq.size, *np.divmod(src[new], seq.size)))

@@ -195,13 +195,13 @@ def _aut_class_leaders_by_dict(maps):
 
 @functools.lru_cache
 def _dedup_inputs(max_order):
-    """The (records, quandles) that census_galex(max_order, dedup=True)
+    """The (records, tables) that census_galex(max_order, dedup=True)
     hands to dedup_by_isomorphism: the Aut(G)-class leaders."""
     seen = []
 
-    def capture(records, quandles):
-        seen.append((records, quandles))
-        return records, quandles
+    def capture(records, tables):
+        seen.append((records, tables))
+        return records, tables
 
     with mock.patch.object(criteria, "dedup_by_isomorphism", capture):
         census_galex(max_order, dedup=True)
@@ -233,7 +233,7 @@ class TestCensus:
     def test_dedup_idempotent(self):
         records = census_galex(8, dedup=True)
         quandles = census_quandles(records)
-        again_r, again_q = dedup_by_isomorphism(records, quandles)
+        again_r, again_q = dedup_by_isomorphism(records, [q.table for q in quandles])
         assert again_r == records
         assert len(again_q) == len(quandles)
 
@@ -255,7 +255,7 @@ class TestCensus:
         qs = census_quandles(records)
         monkeypatch.setattr(_kernels, "cycle_lengths", counted)
         monkeypatch.setattr(quandles, "invariant_profile", per_element)
-        _, kept_q = dedup_by_isomorphism(records, qs)
+        _, kept_q = dedup_by_isomorphism(records, [q.table for q in qs])
         columns = defaultdict(list)
         for q in qs:
             columns[q.order].append(q.table[:, 0])
@@ -274,7 +274,7 @@ class TestCensus:
         records = census_galex(12, dedup=True)
         raw_r = census_galex(12)
         raw_q = census_quandles(raw_r)
-        ref_r, _ = dedup_by_isomorphism(raw_r, raw_q)
+        ref_r, _ = dedup_by_isomorphism(raw_r, [q.table for q in raw_q])
         assert records == [
             r._replace(isomorphism_class_representative=True)
             for r in ref_r]
@@ -346,9 +346,9 @@ class TestCensus:
         # expands its candidate rows in chunks of about _SLAB entries too
         handed = []
 
-        def capture(records, quandles):
-            handed.append(quandles)
-            return dedup(records, quandles)
+        def capture(records, tables):
+            handed.append(tables)
+            return dedup(records, tables)
 
         dedup = criteria.dedup_by_isomorphism
         monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
@@ -356,8 +356,7 @@ class TestCensus:
         monkeypatch.setattr(_kernels, "_SLAB", slab)
         assert [census_galex(12, dedup=d) for d in (False, True)] == want
         assert len(handed) == 2 and len(handed[0]) == len(handed[1]) > 0
-        assert all(a.same_table(b) and np.array_equal(a.inv_table, b.inv_table)
-                   for a, b in zip(*handed))
+        assert all(np.array_equal(a, b) for a, b in zip(*handed))
 
     def test_right_translations_are_automorphisms(self):
         # the premise of the census's pin and of its flags from the pairs
@@ -392,9 +391,9 @@ class TestCensus:
         # when a brute force over all n! bijections does
         seen = []
 
-        def capture(records, quandles):
-            seen.extend(quandles)
-            return records, quandles
+        def capture(records, tables):
+            seen.extend(validate_quandle(t) for t in tables)
+            return records, tables
 
         monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
         census_galex(16, dedup=True)
@@ -428,9 +427,9 @@ class TestCensus:
         # dedup gets up to max order 32, every element has that profile
         seen = []
 
-        def capture(records, quandles):
-            seen.extend(quandles)
-            return records, quandles
+        def capture(records, tables):
+            seen.extend(validate_quandle(t) for t in tables)
+            return records, tables
 
         monkeypatch.setattr(criteria, "dedup_by_isomorphism", capture)
         census_galex(32, dedup=True)
@@ -488,6 +487,31 @@ class TestCensus:
             with pytest.raises(RuntimeError, match="conjugator"):
                 census_galex(4, dedup=True)
 
+    def test_dedup_builds_no_quandle_object(self, monkeypatch):
+        # the dedup takes the leaders' table slices as they are built: no
+        # FiniteQuandle and no inverse table
+        from quandlekit import quandles
+
+        def no_quandles(t, label=""):
+            raise AssertionError("quandle objects built")
+
+        want = census_galex(16, dedup=True)
+        monkeypatch.setattr(quandles, "_quandles", no_quandles)
+        assert census_galex(16, dedup=True) == want
+        with pytest.raises(AssertionError, match="quandle objects built"):
+            galex(catalog("quaternion8"), automorphisms(catalog("quaternion8"))[1])
+
+    def test_failed_search_map_raises(self, monkeypatch):
+        # every map the search finds is checked on the tables; the identity
+        # map between two distinct leaders' tables is no homomorphism, and
+        # that is an error, not "no isomorphism"
+        def identity(sa, sb, ca, cb, x0, images):
+            yield list(range(len(ca)))
+
+        monkeypatch.setattr(criteria, "_list_isomorphisms", identity)
+        with pytest.raises(RuntimeError, match="is no isomorphism"):
+            census_galex(8, dedup=True)
+
     def test_conjugators_are_isomorphisms_on_the_tables(self):
         # the census certifies each Aut(G)-class merge on the maps; this
         # checks it on the tables: for every non-leader c of every group up
@@ -509,7 +533,8 @@ class TestCensus:
         # per order of the dedup inputs at max order 32, the stacked
         # Inn-orbit permutations are those of a min-label loop per quandle,
         # and each stacked relabelled table is relabel(q, perm)
-        records, qs = _dedup_inputs(32)
+        records, tables = _dedup_inputs(32)
+        qs = [validate_quandle(t) for t in tables]
         stacks, relabel_stack = [], criteria._relabel_stack
 
         def capture(t, inv):
@@ -517,7 +542,7 @@ class TestCensus:
             return stacks[-1][2]
 
         monkeypatch.setattr(criteria, "_relabel_stack", capture)
-        dedup_by_isomorphism(records, qs)
+        dedup_by_isomorphism(records, tables)
         by_order = defaultdict(list)
         for q in qs:
             by_order[q.order].append(q)

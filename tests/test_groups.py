@@ -331,7 +331,56 @@ class TestFamiliesMatchExplicitElements:
         assert g.labels == tuple(map(str, elements))
 
 
+def _generation_reference(g):
+    """`groups._generation` as first written, a reference for it: loop
+    until every element is reached, and take the products both set in
+    src and not yet reached."""
+    m, n = g.table, g.order
+    seq, stages, reached = np.array([g.identity]), [], np.zeros(n, dtype=bool)
+    reached[g.identity] = True
+    while not reached.all():
+        k, h = seq.size, int(np.argmin(reached))
+        seq, layers = np.append(seq, h), []
+        reached[h] = True
+        while not reached.all():
+            src = np.full(n, -1)
+            src[m[seq[:, None], seq].ravel()] = np.arange(seq.size ** 2)
+            new = np.flatnonzero((src >= 0) & ~reached)
+            if not new.size:
+                break
+            layers.append((seq.size, *np.divmod(src[new], seq.size)))
+            reached[new] = True
+            seq = np.append(seq, new)
+        stages.append((k, seq.size, layers))
+    return seq, stages
+
+
 class TestAutomorphisms:
+    def test_generation_matches_reference(self):
+        # every group of census_catalog(64), and 25 of them relabelled so
+        # that the identity is not 0: the same sequence, stages and layers
+        rng = np.random.default_rng(20261020)
+        gs = census_catalog(64)
+        relabelled = []
+        for i in rng.choice(np.arange(1, len(gs)), size=25, replace=False):
+            t, p = gs[i].table, rng.permutation(gs[i].order)
+            if p[gs[i].identity] == 0:
+                p = np.roll(p, 1)
+            r = np.empty_like(t)
+            r[np.ix_(p, p)] = p[t]
+            relabelled.append(validate_group(r, name=f"{gs[i].name}~"))
+        assert all(g.identity != 0 for g in relabelled)
+        for g in gs + relabelled:
+            seq, stages = groups._generation(g)
+            want_seq, want_stages = _generation_reference(g)
+            assert np.array_equal(seq, want_seq), g.name
+            assert len(stages) == len(want_stages), g.name
+            for (k, end, layers), (wk, wend, wlayers) in zip(stages, want_stages):
+                assert (k, end, len(layers)) == (wk, wend, len(wlayers)), g.name
+                for got, want in zip(layers, wlayers):
+                    assert got[0] == want[0], g.name
+                    assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:])), g.name
+
     def test_z2(self):
         assert len(automorphisms(cyclic_group(2))) == 1
 
