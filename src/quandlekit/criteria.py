@@ -19,9 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import OrderTooLarge, OutputCapExceeded
-from .groups import DEFAULT_MAX_ORDER, _list_isomorphisms, automorphisms, census_catalog
+from .groups import DEFAULT_MAX_ORDER, automorphisms, census_catalog
 from .presentation import Presentation
-from .quandles import FiniteQuandle, _galex_tables, _homomorphisms
+from .quandles import FiniteQuandle, _galex_tables, _homomorphisms, _list_isomorphisms
 from .tangles import DEFAULT_OUTPUT_CAP
 
 
@@ -148,12 +148,6 @@ def _aut_class_leaders(maps):
     return leader, phi
 
 
-def _relabel_stack(t, inv):
-    """relabel(t[i], p_i) for a (k, n, n) stack t and p_i^-1 = inv[i], in one gather."""
-    i = np.arange(len(t))[:, None, None]
-    return np.argsort(inv, axis=1)[i, t[i, inv[:, :, None], inv[:, None, :]]]
-
-
 def dedup_by_isomorphism(records, tables):
     """(kept records, kept tables), the first of each isomorphism class,
     for `tables` the (n, n) tables of proved homogeneous quandles, whose
@@ -161,18 +155,17 @@ def dedup_by_isomorphism(records, tables):
     and B are isomorphic, some isomorphism fixes 0, and every element has
     the invariant profile of 0: the cycle type of S_0 and the fixed points
     of row 0.  Numpy passes over each order's stack of tables give the
-    profiles, Inn-orbits and relabelled copies, listed once per order.
+    profiles and Inn-orbits, listed once per order.
     Bucketed by profile of 0, the search pins f(0) = 0 and colors x by its
     S_0-cycle's length.  An isomorphism f with f(0) = 0 has f S_0 = S_0 f,
     so it maps x's S_0-cycle onto f(x)'s: the colors prune only
     non-isomorphisms.  One pass per order checks every map found as a
     homomorphism on the tables; RuntimeError names one that fails.
 
-    Each kept A is searched from relabelled by p with its Inn-orbit leaders
-    (the least element of each orbit) first, then the rest, both
-    ascending: the search branches on the least unmapped element, so on
-    one element per orbit before a second one.  0 is a leader and keeps
-    index 0, so the pin stays valid; p(x) gets x's color (S_0 becomes p S_0 p^-1).
+    The search from each kept A takes as its branch order A's Inn-orbit
+    leaders (the least element of each orbit), then the rest, both
+    ascending, so it branches on one element per orbit before a second
+    one.  0 is a leader, so it comes first and is the pinned element.
     """
     keep, by_order = [], defaultdict(list)
     for i, t in enumerate(tables):
@@ -186,15 +179,14 @@ def dedup_by_isomorphism(records, tables):
         while live.size:        # least of each Inn-orbit; the loop drops settled rows
             new = lab[live[:, None, None], t[live]].min(axis=2)
             lab[live], live = new, live[(new != lab[live]).any(axis=1)]
-        inv = np.argsort(lab != ar, axis=1, kind="stable")
-        rel = _relabel_stack(t, inv)
-        cols, rcols = t.transpose(0, 2, 1).tolist(), rel.transpose(0, 2, 1).tolist()
-        cb, ca = colors.tolist(), np.take_along_axis(colors, inv, axis=1).tolist()
+        order = np.argsort(lab != ar, axis=1, kind="stable").tolist()
+        cols, colors = t.transpose(0, 2, 1).tolist(), colors.tolist()
         buckets, merges = defaultdict(list), []     # merges: (f, kept b, a)
         for a, profile in enumerate(profiles):
             bucket = buckets[profile]
             for b in bucket:
-                f = next(_list_isomorphisms(rcols[b], cols[a], ca[b], cb[a], 0, [0]), None)
+                f = next(_list_isomorphisms(cols[b], cols[a], colors[b], colors[a],
+                                            order[b], [0]), None)
                 if f is not None:
                     merges.append((f, b, a))
                     break
@@ -203,7 +195,7 @@ def dedup_by_isomorphism(records, tables):
                 keep.append(indices[a])
         if merges:
             f, b, a = map(np.array, zip(*merges))
-            bad = np.flatnonzero(~_homomorphisms(f, rel[b], t[a]))
+            bad = np.flatnonzero(~_homomorphisms(f, t[b], t[a]))
             if bad.size:
                 raise RuntimeError(f"search map {f[bad[0]].tolist()} is no isomorphism")
     keep.sort()

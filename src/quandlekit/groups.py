@@ -81,11 +81,15 @@ class Subgroup:
 
 def _square_table(table):
     """A fresh int64 copy of the table, checked to be a nonempty square
-    matrix with entries in 0..n-1.  The validators freeze what this
-    returns, so it never aliases the caller's array."""
-    t = np.array(table, dtype=np.int64)
+    matrix of an integer dtype with entries in 0..n-1: a float table is
+    refused, not truncated.  The validators freeze what this returns, so
+    it never aliases the caller's array."""
+    t = np.asarray(table)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise FileFormatError("table must be a nonempty square matrix")
+    if t.dtype.kind not in "iu":
+        raise FileFormatError("table entries must be integers")
+    t = np.array(t, dtype=np.int64)
     n = t.shape[0]
     if t.min() < 0 or t.max() >= n:
         raise FileFormatError(f"table entries must lie in 0..{n - 1}")
@@ -364,61 +368,6 @@ def subgroup_from_elements(g: FiniteGroup, elements):
 # -- automorphisms ------------------------------------------------------------
 
 MAX_AUTOMORPHISMS = 10**5
-
-
-def _list_isomorphisms(sa, sb, ca, cb, x0, images):
-    """Every bijection f of quandles with f(x0) in images, colors ca[x] ==
-    cb[f(x)], and f S_y = S_f(y) f for every y, given the columns sa[y][x]
-    = S_y(x) and sb of the two operation tables (`t.T.tolist()`): first
-    the maps with f(x0) = images[0], then those with f(x0) = images[1],
-    and so on, each run in lexicographic order of the map.
-
-    x0, and then the least unmapped x, images ascending, join the branch
-    elements B.  Propagation maps S_b(y) to S_f(b)(f(y)) for every mapped
-    y and b in B; a clash, a reused image or a color mismatch prunes the
-    node.  So the mapped set D is closed under each S_b, hence under
-    S_b^-1, as S_b permutes the finite set D: the inverse tables would add
-    only implied equations.  Every mapped z is w(b) for some b in B and a
-    word w in the S_b, so S_z = w S_b w^-1 and f S_z = S_f(z) f: a full
-    map is a homomorphism.  Positions below the branch point are fixed,
-    and so is x0, so subtrees of ascending images hold ascending maps.
-    """
-    n = len(ca)
-
-    def extend(f, used, branch, queue):
-        # branch holds the column pairs (S_b, S_f(b)) of B
-        while queue:
-            x, u = queue.pop()
-            if f[x] == u:
-                continue
-            if f[x] != -1 or used[u] or ca[x] != cb[u]:
-                return False
-            f[x], used[u] = u, True
-            for sc, tc in branch:
-                y, v = sc[x], tc[u]
-                if f[y] == -1:
-                    queue.append((y, v))
-                elif f[y] != v:
-                    return False
-        return True
-
-    def search(f, used, branch, y, images):
-        sc, mapped = sa[y], [(z, fz) for z, fz in enumerate(f) if fz != -1]
-        for u in images:
-            if used[u] or cb[u] != ca[y]:
-                continue
-            f2, used2, tc = f.copy(), used.copy(), sb[u]
-            branch2 = branch + [(sc, tc)]
-            # (y, u) last, so it is popped and mapped first
-            queue = [(sc[z], tc[fz]) for z, fz in mapped] + [(y, u)]
-            if not extend(f2, used2, branch2, queue):
-                continue
-            if -1 in f2:
-                yield from search(f2, used2, branch2, f2.index(-1), range(n))
-            else:
-                yield f2
-
-    yield from search([-1] * n, [False] * n, [], x0, images)
 
 
 def _generation(g: FiniteGroup):

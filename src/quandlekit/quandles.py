@@ -23,13 +23,7 @@ from .errors import (
     SizeMismatch,
 )
 from .groups import MAX_TABLE_ORDER, FiniteGroup, Subgroup
-from .groups import (
-    _closure,
-    _format_table_file,
-    _list_isomorphisms,
-    _parse_table_file,
-    _square_table,
-)
+from .groups import _closure, _format_table_file, _parse_table_file, _square_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,22 +87,16 @@ def validate_quandle(table, label=""):
     return FiniteQuandle(order=n, table=t, inv_table=inv, label=label)
 
 
-def _quandles(t, label=""):
-    """Quandles labelled label viewing the slices of a fresh (k, n, n) int64
-    stack of tables, and of inverse tables built in one scatter, both
-    frozen.  No axiom is checked: callers pass only proved quandles."""
-    n = t.shape[-1]
-    ar = np.arange(n)
-    inv = np.empty(t.shape, dtype=np.int64)
-    inv[np.arange(len(t))[:, None, None], t, ar] = ar[:, None]
+def _quandle(t, label):
+    """The quandle labelled label on a fresh (n, n) int64 table, frozen
+    with its inverse table, built in one scatter.  No axiom is checked:
+    callers pass only proved quandles."""
+    ar = np.arange(len(t))
+    inv = np.empty_like(t)
+    inv[t, ar] = ar[:, None]
     t.setflags(write=False)
     inv.setflags(write=False)
-    return [FiniteQuandle(order=n, table=t[i], inv_table=inv[i], label=label)
-            for i in range(len(t))]
-
-
-def _quandle(t, label):
-    return _quandles(t[None], label)[0]
+    return FiniteQuandle(order=len(t), table=t, inv_table=inv, label=label)
 
 
 def trivial_quandle(n):
@@ -146,7 +134,7 @@ def galex(g: FiniteGroup, sigma):
     (_, t), = _galex_tables(g, s[None])
     if not _homomorphisms(s[None], g.table, g.table[None])[0]:
         validate_quandle(t[0])
-    return _quandles(t, f"GAlex({g.name},{''.join(map(str, s.tolist()))})")[0]
+    return _quandle(t[0], f"GAlex({g.name},{''.join(map(str, s.tolist()))})")
 
 
 def _galex_tables(g: FiniteGroup, s):
@@ -243,7 +231,9 @@ def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
     """True iff f(x <| y) = f(x) <| f(y) for all pairs."""
     if len(f) != src.order:
         raise SizeMismatch(f"map has {len(f)} entries, source has {src.order}")
-    fm = np.asarray(f, dtype=np.int64)
+    fm = np.asarray(f)
+    if fm.dtype.kind not in "iu":
+        raise SizeMismatch("map values must be integers")
     if fm.min() < 0 or fm.max() >= dst.order:
         raise SizeMismatch("map values out of range for target quandle")
     return bool(_homomorphisms(fm[None], src.table, dst.table[None])[0])
@@ -267,6 +257,69 @@ def invariant_profile(q: FiniteQuandle):
     return [(tuple(c), f) for c, f in zip(lens, fix)]
 
 
+def _list_isomorphisms(sa, sb, ca, cb, order, images):
+    """Every bijection f of quandles with f(order[0]) in images, colors
+    ca[x] == cb[f(x)], and f S_y = S_f(y) f for every y, given the columns
+    sa[y][x] = S_y(x) and sb of the two operation tables (`t.T.tolist()`)
+    and a sequence order of all the elements: first the maps with
+    f(order[0]) = images[0], then those with f(order[0]) = images[1], and
+    so on, each run in lexicographic order of (f(order[0]), f(order[1]),
+    ...).
+
+    order[0], and then the first unmapped element of order, images
+    ascending, join the branch elements B.  Propagation maps S_b(y) to
+    S_f(b)(f(y)) for every mapped y and b in B; a clash, a reused image or
+    a color mismatch prunes the node.  So the mapped set D is closed under
+    each S_b, hence under S_b^-1, as S_b permutes the finite set D: the
+    inverse tables would add only implied equations.  Every mapped z is
+    w(b) for some b in B and a word w in the S_b, so S_z = w S_b w^-1 and
+    f S_z = S_f(z) f: a full map is a homomorphism.  The elements of order
+    before the branch element are mapped, and so fixed in its subtrees,
+    so subtrees of ascending images hold ascending maps.
+    """
+    n = len(ca)
+
+    def extend(f, used, branch, queue):
+        # branch holds the column pairs (S_b, S_f(b)) of B
+        while queue:
+            x, u = queue.pop()
+            if f[x] == u:
+                continue
+            if f[x] != -1 or used[u] or ca[x] != cb[u]:
+                return False
+            f[x], used[u] = u, True
+            for sc, tc in branch:
+                y, v = sc[x], tc[u]
+                if f[y] == -1:
+                    queue.append((y, v))
+                elif f[y] != v:
+                    return False
+        return True
+
+    def search(f, used, branch, k, images):
+        # y = order[k] is the first unmapped element of order
+        y = order[k]
+        sc, mapped = sa[y], [(z, fz) for z, fz in enumerate(f) if fz != -1]
+        for u in images:
+            if used[u] or cb[u] != ca[y]:
+                continue
+            f2, used2, tc = f.copy(), used.copy(), sb[u]
+            branch2 = branch + [(sc, tc)]
+            # (y, u) last, so it is popped and mapped first
+            queue = [(sc[z], tc[fz]) for z, fz in mapped] + [(y, u)]
+            if not extend(f2, used2, branch2, queue):
+                continue
+            j = k + 1
+            while j < n and f2[order[j]] != -1:
+                j += 1
+            if j < n:
+                yield from search(f2, used2, branch2, j, range(n))
+            else:
+                yield f2
+
+    yield from search([-1] * n, [False] * n, [], 0, images)
+
+
 def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     """A bijective homomorphism a -> b as a map list, or None: the
     lexicographically first, with images of equal invariant profile.  The
@@ -276,8 +329,9 @@ def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
     pa, pb = invariant_profile(a), invariant_profile(b)
     if sorted(pa) != sorted(pb):
         return None
-    f = next(_list_isomorphisms(a.table.T.tolist(), b.table.T.tolist(), pa, pb, 0,
-                                range(b.order)), None)
+    ar = range(a.order)
+    f = next(_list_isomorphisms(a.table.T.tolist(), b.table.T.tolist(), pa, pb, ar, ar),
+             None)
     return f if f is not None and is_homomorphism(f, a, b) else None
 
 

@@ -211,21 +211,20 @@ def check_coloring(d, q, assignment):
     return True
 
 
-def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count",
-                        cap=DEFAULT_OUTPUT_CAP):
+def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count"):
     """Solve the coloring constraint system.  Mode "count" returns the
     number of colorings, "list" the colorings in lexicographic order of the
-    assignment (OutputCapExceeded past cap), and "admissibility" an
-    AdmissibilityVerdict whose witness, if any, is the first of them with
-    C(start) != C(end)."""
+    assignment (OutputCapExceeded past DEFAULT_OUTPUT_CAP, read at call
+    time), and "admissibility" an AdmissibilityVerdict whose witness, if
+    any, is the first of them with C(start) != C(end)."""
     if mode not in ("count", "list", "admissibility"):
         raise ValueError(f"unknown mode {mode!r}")
     m = _colorings(d, q)
     if mode == "count":
         return m.shape[1]
     if mode == "list":
-        if m.shape[1] > cap:
-            raise OutputCapExceeded(f"more than {cap} colorings")
+        if m.shape[1] > DEFAULT_OUTPUT_CAP:
+            raise OutputCapExceeded(f"more than {DEFAULT_OUTPUT_CAP} colorings")
         m = m[:, _kernels._row_keys(m.T).argsort()]
         return [Coloring(tuple(col)) for col in m.T.tolist()]
     idx = np.flatnonzero(m[d.start_arc] != m[d.end_arc])    # the witnesses

@@ -22,7 +22,6 @@ from quandlekit.criteria import (
 )
 from quandlekit.errors import OrderTooLarge, OutputCapExceeded
 from quandlekit.groups import (
-    _list_isomorphisms,
     automorphisms,
     catalog,
     census_catalog,
@@ -32,7 +31,8 @@ from quandlekit.groups import (
 from quandlekit.quandles import (
     _galex_tables,
     _homomorphisms,
-    _quandles,
+    _list_isomorphisms,
+    _quandle,
     conj_quandle,
     dihedral_quandle,
     galex,
@@ -288,8 +288,7 @@ class TestCensus:
         stacks = {}
         for g in census_catalog(32):
             auts = automorphisms(g)
-            qs = [q for _, t in _galex_tables(g, auts)
-                  for q in _quandles(t)]
+            qs = [_quandle(x, "") for _, t in _galex_tables(g, auts) for x in t]
             assert len(qs) == len(auts)
             for a, q in zip(auts, qs):
                 # x <| y = sigma(x y^-1) y
@@ -407,7 +406,7 @@ class TestCensus:
             for a, b in itertools.combinations(bucket, 2):
                 same = [0] * a.order
                 f = next(_list_isomorphisms(a.table.T.tolist(), b.table.T.tolist(),
-                                            same, same, 0, [0]), None)
+                                            same, same, range(a.order), [0]), None)
                 g = isomorphic(a, b)
                 assert (f is None) == (g is None), (a.label, b.label)
                 for h in (f, g):
@@ -492,11 +491,11 @@ class TestCensus:
         # FiniteQuandle and no inverse table
         from quandlekit import quandles
 
-        def no_quandles(t, label=""):
+        def no_quandles(t, label):
             raise AssertionError("quandle objects built")
 
         want = census_galex(16, dedup=True)
-        monkeypatch.setattr(quandles, "_quandles", no_quandles)
+        monkeypatch.setattr(quandles, "_quandle", no_quandles)
         assert census_galex(16, dedup=True) == want
         with pytest.raises(AssertionError, match="quandle objects built"):
             galex(catalog("quaternion8"), automorphisms(catalog("quaternion8"))[1])
@@ -505,7 +504,7 @@ class TestCensus:
         # every map the search finds is checked on the tables; the identity
         # map between two distinct leaders' tables is no homomorphism, and
         # that is an error, not "no isomorphism"
-        def identity(sa, sb, ca, cb, x0, images):
+        def identity(sa, sb, ca, cb, order, images):
             yield list(range(len(ca)))
 
         monkeypatch.setattr(criteria, "_list_isomorphisms", identity)
@@ -529,34 +528,42 @@ class TestCensus:
                 checked += rest.size
         assert checked == 1234
 
-    def test_stacked_relabel_matches_relabel(self, monkeypatch):
-        # per order of the dedup inputs at max order 32, the stacked
-        # Inn-orbit permutations are those of a min-label loop per quandle,
-        # and each stacked relabelled table is relabel(q, perm)
+    def test_branch_order_search_matches_relabelled_search(self, monkeypatch):
+        # the search on a relabelled copy is the oracle: for every pair the
+        # dedup searches at max order 32, the kept quandle q's branch order
+        # puts its Inn-orbit leaders first (by a min-label loop per
+        # quandle), and the search with that order on q finds a map exactly
+        # when the search from 0 on relabel(q, perm), whose identity order
+        # is that branch order, does; the two maps agree through perm
         records, tables = _dedup_inputs(32)
-        qs = [validate_quandle(t) for t in tables]
-        stacks, relabel_stack = [], criteria._relabel_stack
+        calls, search = [], _list_isomorphisms
 
-        def capture(t, inv):
-            stacks.append((t, inv, relabel_stack(t, inv)))
-            return stacks[-1][2]
+        def capture(sa, sb, ca, cb, order, images):
+            f = next(search(sa, sb, ca, cb, order, images), None)
+            calls.append((sa, sb, ca, cb, order, images, f))
+            return iter([] if f is None else [f])
 
-        monkeypatch.setattr(criteria, "_relabel_stack", capture)
+        monkeypatch.setattr(criteria, "_list_isomorphisms", capture)
         dedup_by_isomorphism(records, tables)
-        by_order = defaultdict(list)
-        for q in qs:
-            by_order[q.order].append(q)
-        assert len(stacks) == len(by_order)
-        for (t, inv, rel), group in zip(stacks, by_order.values()):
-            assert len(t) == len(group)
-            for a, q in enumerate(group):
-                ar, lab, prev = np.arange(q.order), np.arange(q.order), None
-                while not np.array_equal(lab, prev):
-                    lab, prev = lab[q.table].min(axis=1), lab
-                perm = np.argsort(np.argsort(lab != ar, kind="stable"))
-                assert np.array_equal(t[a], q.table)
-                assert np.array_equal(inv[a], np.argsort(perm))
-                assert np.array_equal(rel[a], relabel(q, perm).table), q.label
+        outcomes, moved = set(), set()
+        for sa, sb, ca, cb, order, images, f in calls:
+            q = validate_quandle(np.array(sa).T)
+            ar, lab, prev = np.arange(q.order), np.arange(q.order), None
+            while not np.array_equal(lab, prev):
+                lab, prev = lab[q.table].min(axis=1), lab
+            perm = np.argsort(np.argsort(lab != ar, kind="stable"))
+            assert list(order) == np.argsort(perm).tolist() and images == [0], q.label
+            colors = np.empty(q.order, dtype=np.int64)
+            colors[perm] = ca                   # perm(x) gets x's color
+            want = next(search(relabel(q, perm).table.T.tolist(), sb, colors.tolist(),
+                               cb, range(q.order), [0]), None)
+            assert (f is None) == (want is None)
+            if f is not None:
+                assert f == [want[p] for p in perm.tolist()]
+            outcomes.add(f is None)
+            moved.add(not np.array_equal(perm, ar))
+        assert outcomes == moved == {False, True}
+        assert len(calls) == 699
 
     def test_colored_dedup_keeps_what_constant_colors_keep(self, monkeypatch):
         # the S_0-cycle colors prune only maps that are no isomorphism: on
@@ -566,10 +573,10 @@ class TestCensus:
         colored = dedup_by_isomorphism(records, qs)[0]
         search, varied = _list_isomorphisms, []
 
-        def constant(sa, sb, ca, cb, x0, images):
+        def constant(sa, sb, ca, cb, order, images):
             varied.append(len(set(ca)) > 1)
             same = [0] * len(ca)
-            return search(sa, sb, same, same, x0, images)
+            return search(sa, sb, same, same, order, images)
 
         monkeypatch.setattr(criteria, "_list_isomorphisms", constant)
         assert dedup_by_isomorphism(records, qs)[0] == colored

@@ -25,7 +25,6 @@ from quandlekit.groups import (
     MAX_TABLE_ORDER,
     Subgroup,
     _first_repeat,
-    _list_isomorphisms,
     _parse_table_file,
     automorphisms,
     catalog,
@@ -41,6 +40,7 @@ from quandlekit.groups import (
     validate_group,
 )
 from quandlekit.quandles import (
+    _list_isomorphisms,
     conj_quandle,
     dihedral_quandle,
     format_quandle_file,
@@ -511,7 +511,7 @@ def class_tables():
 class TestColumnClassValidation:
     """`validate_quandle` checks and inverts one column per column class;
     the per-column computations are the oracle: `_first_repeat` over every
-    column, and the scatter of `_quandles` over every entry.  With
+    column, and the scatter of `_quandle` over every entry.  With
     colliding hashes every column is its own class."""
 
     @staticmethod
@@ -545,7 +545,7 @@ class TestColumnClassValidation:
         self.weights(collide, monkeypatch)
         for t in class_tables:
             q = validate_quandle(t)
-            want = quandles._quandles(t.copy()[None])[0]
+            want = quandles._quandle(t.copy(), "")
             assert q.same_table(want)
             assert np.array_equal(q.inv_table, want.inv_table)
             assert not q.inv_table.flags.writeable and not q.table.flags.writeable
@@ -820,9 +820,15 @@ class TestHomomorphisms:
         with pytest.raises(SizeMismatch):
             is_homomorphism([0, 1], dihedral_quandle(3), dihedral_quandle(3))
 
-    @pytest.mark.parametrize("f", [[0, 1, 3], [-1, 0, 1]])
-    def test_values_out_of_range(self, f):
-        with pytest.raises(SizeMismatch, match="out of range"):
+    @pytest.mark.parametrize("f, message", [
+        pytest.param([0, 1, 3], "out of range", id="f0"),
+        pytest.param([-1, 0, 1], "out of range", id="f1"),
+        # refused by dtype, not truncated to [0, 1, 2]
+        pytest.param([0, 1.9, 2.5], "must be integers", id="float"),
+        pytest.param(np.array([0.0, 1.0, 2.0]), "must be integers", id="float_array"),
+    ])
+    def test_values_out_of_range(self, f, message):
+        with pytest.raises(SizeMismatch, match=message):
             is_homomorphism(f, dihedral_quandle(3), dihedral_quandle(3))
 
 
@@ -906,9 +912,9 @@ def _point_over_trivial4():
 
 
 class TestPinnedSearch:
-    """`groups._list_isomorphisms` with a pinned element and its candidate
-    images, and `isomorphic`, built on it, against permutation brute
-    force."""
+    """`quandles._list_isomorphisms` with a branch order, whose first
+    element is pinned to its candidate images, and `isomorphic`, built on
+    it, against permutation brute force."""
 
     @staticmethod
     def lists(q):
@@ -929,25 +935,48 @@ class TestPinnedSearch:
             la, lb = self.lists(a), self.lists(b)
             colors = [0] * a.order    # no pruning by color
             for x0, u in itertools.product(range(a.order), repeat=2):
+                order = [x0] + [x for x in range(a.order) if x != x0]
                 run = [p for p in brute if p[x0] == u]
                 got = [tuple(f) for f in _list_isomorphisms(
-                    la, lb, colors, colors, x0, [u])]
+                    la, lb, colors, colors, order, [u])]
                 assert got == run
                 pinned += bool(run)
                 if u > 0:
                     # two candidates, descending: the f(x0) = u run comes first
                     below = [p for p in brute if p[x0] == u - 1]
                     got = [tuple(f) for f in _list_isomorphisms(
-                        la, lb, colors, colors, x0, [u, u - 1])]
+                        la, lb, colors, colors, order, [u, u - 1])]
                     assert got == run + below
                     both += bool(run and below)
         assert pinned > 100 and both > 100
+
+    def test_shuffled_orders_yield_maps_in_order_lex_order(self, pairs):
+        # seeded random branch orders: the maps with f(order[0]) among the
+        # images, images in the order given, each run sorted by
+        # (f(order[0]), f(order[1]), ...)
+        rng = np.random.default_rng(20261020)
+        found = moved = 0
+        for a, b, brute in pairs:
+            la, lb = self.lists(a), self.lists(b)
+            colors = [0] * a.order
+            for _ in range(3):
+                order = rng.permutation(a.order).tolist()
+                images = rng.permutation(a.order)[:2].tolist()
+                want = [p for u in images for p in sorted(
+                    (p for p in brute if p[order[0]] == u),
+                    key=lambda p: [p[x] for x in order])]
+                got = [tuple(f) for f in _list_isomorphisms(
+                    la, lb, colors, colors, order, images)]
+                assert got == want, (a.label, b.label, order, images)
+                found += len(want) > 1
+                moved += want != sorted(want)
+        assert found > 100 and moved > 20
 
     def test_point_outside_the_branch_subquandle(self):
         q = _point_over_trivial4()
         lq = self.lists(q)
         maps = [tuple(f) for f in _list_isomorphisms(
-            lq, lq, [0] * 5, [0] * 5, 0, [0])]
+            lq, lq, [0] * 5, [0] * 5, range(5), [0])]
         # the centralizer of the swap (1 2) in Sym({1, 2, 3, 4})
         assert maps == [(0, 1, 2, 3, 4), (0, 1, 2, 4, 3),
                         (0, 2, 1, 3, 4), (0, 2, 1, 4, 3)]
@@ -1071,14 +1100,25 @@ class TestQuandleFiles:
         with pytest.raises(FileFormatError, match=message):
             parse_quandle_file(text)
 
-    @pytest.mark.parametrize("build", [
-        lambda: trivial_quandle(0),
-        lambda: dihedral_quandle(0),
-        lambda: validate_quandle(np.zeros((2, 3), dtype=np.int64)),
-        lambda: validate_group(np.zeros((0, 0), dtype=np.int64)),
-    ], ids=["trivial0", "dihedral0", "quandle2x3", "group0x0"])
-    def test_rejects_empty_or_nonsquare_table(self, build):
-        with pytest.raises(FileFormatError, match="table must be a nonempty square matrix"):
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: trivial_quandle(0), "must be a nonempty square matrix",
+                     id="trivial0"),
+        pytest.param(lambda: dihedral_quandle(0), "must be a nonempty square matrix",
+                     id="dihedral0"),
+        pytest.param(lambda: validate_quandle(np.zeros((2, 3), dtype=np.int64)),
+                     "must be a nonempty square matrix", id="quandle2x3"),
+        pytest.param(lambda: validate_group(np.zeros((0, 0), dtype=np.int64)),
+                     "must be a nonempty square matrix", id="group0x0"),
+        # refused by dtype, not truncated to trivial(2) and Z2
+        pytest.param(lambda: validate_quandle([[0, 0.9], [1.7, 1]]),
+                     "entries must be integers", id="quandle_float"),
+        pytest.param(lambda: validate_group([[0, 1.2], [1, 0]]),
+                     "entries must be integers", id="group_float"),
+        pytest.param(lambda: validate_quandle(np.eye(2, dtype=bool)),
+                     "entries must be integers", id="quandle_bool"),
+    ])
+    def test_rejects_empty_or_nonsquare_table(self, build, message):
+        with pytest.raises(FileFormatError, match=f"^table {message}$"):
             build()
 
     def test_order_bound(self, hopf1024):

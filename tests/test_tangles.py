@@ -420,11 +420,13 @@ class TestSolver:
         assert not v.admissible and v.witness.assignment == witnesses[0]
         assert enumerate_colorings(builtin_tangle("hopf"), q, "admissibility").admissible
 
-    def test_output_cap(self):
+    def test_output_cap(self, monkeypatch):
         d = builtin_tangle("hopf")                     # 9 colorings
+        monkeypatch.setattr(tangles, "DEFAULT_OUTPUT_CAP", 8)
         with pytest.raises(OutputCapExceeded, match="more than 8 colorings"):
-            enumerate_colorings(d, trivial_quandle(3), "list", cap=8)
-        assert len(enumerate_colorings(d, trivial_quandle(3), "list", cap=9)) == 9
+            enumerate_colorings(d, trivial_quandle(3), "list")
+        monkeypatch.setattr(tangles, "DEFAULT_OUTPUT_CAP", 9)
+        assert len(enumerate_colorings(d, trivial_quandle(3), "list")) == 9
 
     def test_unknot_admissible(self):
         d = builtin_tangle("unknot")
