@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -93,23 +94,28 @@ def census_galex(max_group_order, dedup=False):
     witness iff (x y^-1, e) is one: `_galex_admissible` reads the flags
     off the pairs (d, e), and the raw census builds no table.  The R_g act
     transitively, so B is homogeneous.  Dedup merges each Aut(G)-conjugacy
-    class, certified on the maps by `_aut_class_leaders`, and hands the
-    (n, n) table slices of the class leaders alone, from `_galex_tables`,
+    class, certified on the maps by `_aut_class_leaders`, and hands each
+    group order's class leaders, one (k, n, n) stack from `_galex_tables`,
     to `dedup_by_isomorphism`: no quandle object and no inverse table."""
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
-    records, tables = [], []
-    for grp in census_catalog(max_group_order):
-        s = automorphisms(grp)
-        keep = np.arange(len(s))
-        keep = (keep[_aut_class_leaders(s)[0] == keep] if dedup else keep).tolist()
-        records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
-                    for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
-        if dedup:
-            tables += [x for _, t in _galex_tables(grp, s[keep]) for x in t]
-    # A non-leader is isomorphic to its earlier leader, so the first record
-    # of every isomorphism class is a leader.
-    return dedup_by_isomorphism(records, tables)[0] if dedup else records
+    out = []
+    for _, grps in groupby(census_catalog(max_group_order), key=lambda g: g.order):
+        records, tables = [], []
+        for grp in grps:
+            s = automorphisms(grp)
+            keep = np.arange(len(s))
+            keep = (keep[_aut_class_leaders(s)[0] == keep] if dedup else keep).tolist()
+            records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
+                        for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
+            if dedup:
+                tables.append(_galex_tables(grp, s[keep]))
+        # A non-leader is isomorphic to its earlier leader, so the first
+        # record of every isomorphism class is a leader.
+        if dedup:   # rebinding tables frees the per-group stacks before the search
+            records = dedup_by_isomorphism(records, tables := np.concatenate(tables))[0]
+        out += records
+    return out
 
 
 def _galex_admissible(g, s):
@@ -150,55 +156,50 @@ def _aut_class_leaders(maps):
 
 def dedup_by_isomorphism(records, tables):
     """(kept records, kept tables), the first of each isomorphism class,
-    for `tables` the (n, n) tables of proved homogeneous quandles, whose
-    automorphisms move 0 to every element (see `census_galex`).  So if A
-    and B are isomorphic, some isomorphism fixes 0, and every element has
-    the invariant profile of 0: the cycle type of S_0 and the fixed points
-    of row 0.  Numpy passes over each order's stack of tables give the
-    profiles and Inn-orbits, listed once per order.
+    for `tables` the (n, n) tables, all of one order (else ValueError), of
+    proved homogeneous quandles, whose automorphisms move 0 to every
+    element (see `census_galex`).  So if A and B are isomorphic, some
+    isomorphism fixes 0, and every element has the invariant profile of 0:
+    the cycle type of S_0 and the fixed points of row 0.
     Bucketed by profile of 0, the search pins f(0) = 0 and colors x by its
     S_0-cycle's length.  An isomorphism f with f(0) = 0 has f S_0 = S_0 f,
     so it maps x's S_0-cycle onto f(x)'s: the colors prune only
-    non-isomorphisms.  One pass per order checks every map found as a
-    homomorphism on the tables; RuntimeError names one that fails.
+    non-isomorphisms.  One pass checks every map found as a homomorphism
+    on the tables; RuntimeError names one that fails.
 
     The search from each kept A takes as its branch order A's Inn-orbit
     leaders (the least element of each orbit), then the rest, both
     ascending, so it branches on one element per orbit before a second
     one.  0 is a leader, so it comes first and is the pinned element.
     """
-    keep, by_order = [], defaultdict(list)
-    for i, t in enumerate(tables):
-        by_order[len(t)].append(i)
-    for n, indices in by_order.items():
-        t, ar = np.stack([tables[i] for i in indices]), np.arange(n)
-        colors = _kernels.cycle_lengths(t[:, :, 0].T).T    # colors[a, x]: x's S_0-cycle
-        profiles = zip(map(tuple, np.sort(colors, axis=1).tolist()),
-                       np.count_nonzero(t[:, 0] == ar, axis=1).tolist())
-        lab, live = np.tile(ar, (len(t), 1)), np.arange(len(t))
-        while live.size:        # least of each Inn-orbit; the loop drops settled rows
-            new = lab[live[:, None, None], t[live]].min(axis=2)
-            lab[live], live = new, live[(new != lab[live]).any(axis=1)]
-        order = np.argsort(lab != ar, axis=1, kind="stable").tolist()
-        cols, colors = t.transpose(0, 2, 1).tolist(), colors.tolist()
-        buckets, merges = defaultdict(list), []     # merges: (f, kept b, a)
-        for a, profile in enumerate(profiles):
-            bucket = buckets[profile]
-            for b in bucket:
-                f = next(_list_isomorphisms(cols[b], cols[a], colors[b], colors[a],
-                                            order[b], [0]), None)
-                if f is not None:
-                    merges.append((f, b, a))
-                    break
-            else:
-                bucket.append(a)
-                keep.append(indices[a])
-        if merges:
-            f, b, a = map(np.array, zip(*merges))
-            bad = np.flatnonzero(~_homomorphisms(f, t[b], t[a]))
-            if bad.size:
-                raise RuntimeError(f"search map {f[bad[0]].tolist()} is no isomorphism")
-    keep.sort()
+    t = np.asarray(tables)      # a stack as it is; numpy refuses mixed orders
+    ar = np.arange(t.shape[-1])
+    colors = _kernels.cycle_lengths(t[:, :, 0].T).T    # colors[a, x]: x's S_0-cycle
+    profiles = zip(map(tuple, np.sort(colors, axis=1).tolist()),
+                   np.count_nonzero(t[:, 0] == ar, axis=1).tolist())
+    lab, live = np.tile(ar, (len(t), 1)), np.arange(len(t))
+    while live.size:            # least of each Inn-orbit; the loop drops settled rows
+        new = lab[live[:, None, None], t[live]].min(axis=2)
+        lab[live], live = new, live[(new != lab[live]).any(axis=1)]
+    order = np.argsort(lab != ar, axis=1, kind="stable").tolist()
+    cols, colors = t.transpose(0, 2, 1).tolist(), colors.tolist()
+    keep, buckets, merges = [], defaultdict(list), []     # merges: (f, kept b, a)
+    for a, profile in enumerate(profiles):
+        bucket = buckets[profile]
+        for b in bucket:
+            f = next(_list_isomorphisms(cols[b], cols[a], colors[b], colors[a],
+                                        order[b], [0]), None)
+            if f is not None:
+                merges.append((f, b, a))
+                break
+        else:
+            bucket.append(a)
+            keep.append(a)
+    if merges:
+        f, b, a = map(np.array, zip(*merges))
+        bad = np.flatnonzero(~_homomorphisms(f, t[b], t[a]))
+        if bad.size:
+            raise RuntimeError(f"search map {f[bad[0]].tolist()} is no isomorphism")
     return [records[i] for i in keep], [tables[i] for i in keep]
 
 

@@ -19,6 +19,7 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -357,7 +358,7 @@ def center(g: FiniteGroup):
 
 def subgroup_from_elements(g: FiniteGroup, elements):
     """Wrap an explicit element set, verifying closure."""
-    s = frozenset(int(x) for x in elements)
+    s = frozenset(map(index, elements))
     if not s or any(x < 0 or x >= g.order for x in s):
         raise NotASubgroup("subgroup elements out of range")
     if _closure(g.table, s) != s:

@@ -8,6 +8,7 @@ permutation S_y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -131,22 +132,19 @@ def galex(g: FiniteGroup, sigma):
     if not np.array_equal(np.sort(s), np.arange(g.order)):
         raise ValueError("map is not a permutation of the group elements")
     s = s.astype(np.int64)      # after the check: the cast truncates 1.5 to 1
-    (_, t), = _galex_tables(g, s[None])
+    t = _galex_tables(g, s[None])[0]
     if not _homomorphisms(s[None], g.table, g.table[None])[0]:
-        validate_quandle(t[0])
-    return _quandle(t[0], f"GAlex({g.name},{''.join(map(str, s.tolist()))})")
+        validate_quandle(t)
+    return _quandle(t, f"GAlex({g.name},{''.join(map(str, s.tolist()))})")
 
 
 def _galex_tables(g: FiniteGroup, s):
-    """Yield (a, t) per chunk of the (k, n) array of maps s, t[i] the table
-    of GAlex(G, s[a + i]).  A chunk holds about _kernels._SLAB / 4 entries:
-    its temporaries are a few arrays its size."""
+    """The (k, n, n) stack of the tables of GAlex(G, s[i]) for the (k, n)
+    array of maps s; its temporaries are a few arrays the stack's size."""
     m, n = g.table, g.order
     u = m[:, g.inverse]                        # u[x, y] = x * inv(y)
-    step = max(1, _kernels._SLAB // (4 * n * n))
-    for a in range(0, len(s), step):
-        # t[i, x, y] = m[s_i(x y^-1), y], at flat index s_i(u[x, y]) n + y
-        yield a, np.take(m, np.take(s[a:a + step], u, axis=1) * n + np.arange(n))
+    # t[i, x, y] = m[s_i(x y^-1), y], at flat index s_i(u[x, y]) n + y
+    return np.take(m, np.take(s, u, axis=1) * n + np.arange(n))
 
 
 def hopf_extension(g: FiniteGroup, n: Subgroup):
@@ -204,7 +202,7 @@ def subquandle_closure(q: FiniteQuandle, seed):
     """Smallest subset containing seed closed under <| and <|~ in both
     operand positions.  Closing under <| suffices: S_y has finite order m,
     so x <|~ y = S_y^(m-1)(x) is reached by applying <| y again."""
-    s = set(int(x) for x in seed)
+    s = set(map(index, seed))
     if not s:
         raise ValueError("seed must be nonempty")
     if any(x < 0 or x >= q.order for x in s):
@@ -215,7 +213,7 @@ def subquandle_closure(q: FiniteQuandle, seed):
 def restrict(q: FiniteQuandle, elements, label=""):
     """Subquandle on an explicit closed element set, reindexed by sorted
     position.  A closed subset of a finite quandle is a quandle."""
-    elems = sorted(int(x) for x in set(elements))
+    elems = sorted(map(index, set(elements)))
     if not elems or elems[0] < 0 or elems[-1] >= q.order:
         raise ValueError("element set must be a nonempty subset of the elements")
     e = np.array(elems, dtype=np.int64)
@@ -337,11 +335,10 @@ def isomorphic(a: FiniteQuandle, b: FiniteQuandle):
 
 def relabel(q: FiniteQuandle, perm):
     """Transport the table along a permutation: new[p x][p y] = p[x <| y]."""
-    p = np.asarray(perm, dtype=np.int64)
+    p = np.array(list(map(index, perm)), dtype=np.int64)
     if sorted(p.tolist()) != list(range(q.order)):
         raise ValueError("perm is not a permutation of the elements")
-    inv = np.empty_like(p)
-    inv[p] = np.arange(q.order)
+    inv = np.argsort(p)
     t = p[q.table[inv[:, None], inv[None, :]]]
     return _quandle(t, f"{q.label}~relabel")
 

@@ -195,8 +195,9 @@ def _aut_class_leaders_by_dict(maps):
 
 @functools.lru_cache
 def _dedup_inputs(max_order):
-    """The (records, tables) that census_galex(max_order, dedup=True)
-    hands to dedup_by_isomorphism: the Aut(G)-class leaders."""
+    """The (records, tables) of each call census_galex(max_order,
+    dedup=True) makes to dedup_by_isomorphism, one per group order: the
+    Aut(G)-class leaders."""
     seen = []
 
     def capture(records, tables):
@@ -205,7 +206,18 @@ def _dedup_inputs(max_order):
 
     with mock.patch.object(criteria, "dedup_by_isomorphism", capture):
         census_galex(max_order, dedup=True)
-    return seen[0]
+    return seen
+
+
+def _dedup_each_order(records, tables):
+    """dedup_by_isomorphism over records sorted by order, one call per
+    order, as census_galex makes them: the kept records and tables."""
+    kept_r, kept_t = [], []
+    for _, group in itertools.groupby(zip(records, tables), key=lambda p: len(p[1])):
+        r, t = dedup_by_isomorphism(*map(list, zip(*group)))
+        kept_r += r
+        kept_t += t
+    return kept_r, kept_t
 
 
 class TestCensus:
@@ -233,7 +245,7 @@ class TestCensus:
     def test_dedup_idempotent(self):
         records = census_galex(8, dedup=True)
         quandles = census_quandles(records)
-        again_r, again_q = dedup_by_isomorphism(records, [q.table for q in quandles])
+        again_r, again_q = _dedup_each_order(records, [q.table for q in quandles])
         assert again_r == records
         assert len(again_q) == len(quandles)
 
@@ -255,7 +267,7 @@ class TestCensus:
         qs = census_quandles(records)
         monkeypatch.setattr(_kernels, "cycle_lengths", counted)
         monkeypatch.setattr(quandles, "invariant_profile", per_element)
-        _, kept_q = dedup_by_isomorphism(records, [q.table for q in qs])
+        _, kept_q = _dedup_each_order(records, [q.table for q in qs])
         columns = defaultdict(list)
         for q in qs:
             columns[q.order].append(q.table[:, 0])
@@ -274,7 +286,7 @@ class TestCensus:
         records = census_galex(12, dedup=True)
         raw_r = census_galex(12)
         raw_q = census_quandles(raw_r)
-        ref_r, _ = dedup_by_isomorphism(raw_r, [q.table for q in raw_q])
+        ref_r, _ = _dedup_each_order(raw_r, [q.table for q in raw_q])
         assert records == [
             r._replace(isomorphism_class_representative=True)
             for r in ref_r]
@@ -288,7 +300,7 @@ class TestCensus:
         stacks = {}
         for g in census_catalog(32):
             auts = automorphisms(g)
-            qs = [_quandle(x, "") for _, t in _galex_tables(g, auts) for x in t]
+            qs = [_quandle(x, "") for x in _galex_tables(g, auts)]
             assert len(qs) == len(auts)
             for a, q in zip(auts, qs):
                 # x <| y = sigma(x y^-1) y
@@ -338,11 +350,10 @@ class TestCensus:
 
     @pytest.mark.parametrize("slab", [1, 2000])
     def test_chunk_size_does_not_change_the_census(self, slab, monkeypatch):
-        # the dedup builds and checks its tables in chunks of about
-        # _SLAB / 4 entries: one table per chunk, or a few with chunks
-        # ending inside Aut(G) (7 of D4's 8 at 2000), give the same records
-        # and hand the same tables to the isomorphism search; automorphisms
-        # expands its candidate rows in chunks of about _SLAB entries too
+        # automorphisms expands its candidate rows in chunks of about
+        # _SLAB entries: one row per chunk, or a few, give the same records
+        # and hand the same table stack of each group order to the
+        # isomorphism search
         handed = []
 
         def capture(records, tables):
@@ -354,8 +365,11 @@ class TestCensus:
         want = [census_galex(12, dedup=d) for d in (False, True)]
         monkeypatch.setattr(_kernels, "_SLAB", slab)
         assert [census_galex(12, dedup=d) for d in (False, True)] == want
-        assert len(handed) == 2 and len(handed[0]) == len(handed[1]) > 0
-        assert all(np.array_equal(a, b) for a, b in zip(*handed))
+        orders = len({g.order for g in census_catalog(12)})
+        before, after = handed[:orders], handed[orders:]
+        assert len(before) == len(after) == orders
+        assert all(len(a) == len(b) > 0 for a, b in zip(before, after))
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_right_translations_are_automorphisms(self):
         # the premise of the census's pin and of its flags from the pairs
@@ -380,6 +394,43 @@ class TestCensus:
             tracemalloc.stop()
         assert len(records) == 8908
         assert peak < 16 * 2 ** 20
+
+    def test_dedup_census_memory_bounded(self):
+        # the dedup census holds one group order's leader tables at a time,
+        # as one stack: at max order 48 (789 classes) its traced peak is
+        # near 4.3 MB; holding every order's tables at once, with a second
+        # copy of each order's stack, takes about 14 MB
+        tracemalloc.start()
+        try:
+            records = census_galex(48, dedup=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 789
+        assert peak < 8 * 2 ** 20
+
+    def test_one_dedup_call_per_group_order(self):
+        # the census calls the dedup once per group order, ascending, with
+        # that order's leader records and one (k, n, n) stack of their tables
+        calls = _dedup_inputs(32)
+        assert [t.shape[1] for _, t in calls] == sorted({g.order for g in census_catalog(32)})
+        for records, tables in calls:
+            n = tables.shape[1]
+            assert isinstance(tables, np.ndarray) and tables.shape == (len(records), n, n)
+            assert {r.group_order for r in records} == {n}
+        assert sum(len(records) for records, _ in calls) == 558
+
+    def test_dedup_refuses_mixed_orders(self):
+        # one call takes one order's tables; mixed orders are an error, and
+        # the same tables split by order dedup as the census does
+        records = census_galex(4, dedup=True)
+        tables = [q.table for q in census_quandles(records)]
+        assert len({len(t) for t in tables}) == 4
+        with pytest.raises(ValueError):
+            dedup_by_isomorphism(records, tables)
+        with pytest.raises(ValueError):
+            dedup_by_isomorphism(records[-2:], [tables[-1], dihedral_quandle(3).table])
+        assert _dedup_each_order(records, tables)[0] == records
 
     def test_identity_pinned_search_agrees_with_isomorphic(self, monkeypatch):
         # the dedup pins f(0) = 0, the identity of each catalog group, and
@@ -522,8 +573,8 @@ class TestCensus:
             leader, phi = criteria._aut_class_leaders(s)
             rest = np.flatnonzero(leader != np.arange(len(s)))
             if rest.size:
-                src = np.concatenate([t for _, t in _galex_tables(g, s[leader[rest]])])
-                dst = np.concatenate([t for _, t in _galex_tables(g, s[rest])])
+                src = _galex_tables(g, s[leader[rest]])
+                dst = _galex_tables(g, s[rest])
                 assert _homomorphisms(s[phi[rest]], src, dst).all(), g.name
                 checked += rest.size
         assert checked == 1234
@@ -535,7 +586,6 @@ class TestCensus:
         # quandle), and the search with that order on q finds a map exactly
         # when the search from 0 on relabel(q, perm), whose identity order
         # is that branch order, does; the two maps agree through perm
-        records, tables = _dedup_inputs(32)
         calls, search = [], _list_isomorphisms
 
         def capture(sa, sb, ca, cb, order, images):
@@ -544,7 +594,8 @@ class TestCensus:
             return iter([] if f is None else [f])
 
         monkeypatch.setattr(criteria, "_list_isomorphisms", capture)
-        dedup_by_isomorphism(records, tables)
+        for records, tables in _dedup_inputs(32):
+            dedup_by_isomorphism(records, tables)
         outcomes, moved = set(), set()
         for sa, sb, ca, cb, order, images, f in calls:
             q = validate_quandle(np.array(sa).T)
@@ -569,8 +620,8 @@ class TestCensus:
         # the S_0-cycle colors prune only maps that are no isomorphism: on
         # the dedup inputs at max order 32, a search with constant colors
         # keeps the same records; the colors were not all constant
-        records, qs = _dedup_inputs(32)
-        colored = dedup_by_isomorphism(records, qs)[0]
+        inputs = _dedup_inputs(32)
+        colored = [dedup_by_isomorphism(records, qs)[0] for records, qs in inputs]
         search, varied = _list_isomorphisms, []
 
         def constant(sa, sb, ca, cb, order, images):
@@ -579,8 +630,9 @@ class TestCensus:
             return search(sa, sb, same, same, order, images)
 
         monkeypatch.setattr(criteria, "_list_isomorphisms", constant)
-        assert dedup_by_isomorphism(records, qs)[0] == colored
-        assert any(varied) and len(colored) < len(records)
+        assert [dedup_by_isomorphism(records, qs)[0] for records, qs in inputs] == colored
+        assert any(varied)
+        assert sum(map(len, colored)) < sum(len(records) for records, _ in inputs)
 
     def test_format(self):
         records = [CensusRecord("cyclic(1)", 1, 0, 1, True, True, True)]

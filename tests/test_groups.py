@@ -631,6 +631,16 @@ class TestSubgroups:
         with pytest.raises(NotASubgroup, match="subgroup elements out of range"):
             subgroup_from_elements(catalog("symmetric", 3), elements)
 
+    @pytest.mark.parametrize("elements", [[0, 2.9], [0.0], np.array([0.0, 2.0])])
+    def test_subgroup_from_elements_rejects_non_integer_indices(self, elements):
+        # refused, not truncated: [0, 2.9] is not the subgroup (0, 2) of
+        # Z4, though the same indices cast to an integer dtype give it
+        g = cyclic_group(4)
+        with pytest.raises(TypeError):
+            subgroup_from_elements(g, elements)
+        cast = np.asarray(elements).astype(np.int32)
+        assert subgroup_from_elements(g, cast).elements == tuple(sorted(set(cast.tolist())))
+
 
 class TestCenter:
     def test_q8(self):

@@ -801,6 +801,24 @@ class TestSubquandleClosure:
         with pytest.raises(ValueError, match=r"not closed under <\|"):
             restrict(dihedral_quandle(3), [0, 1])
 
+    @pytest.mark.parametrize("elements", [[0.5, 1], [1.0], np.array([0.0, 2.0])])
+    def test_restrict_rejects_non_integer_indices(self, elements):
+        # refused, not truncated; the same indices cast to an integer
+        # dtype give the truncated subquandle
+        q = trivial_quandle(3)
+        with pytest.raises(TypeError):
+            restrict(q, elements)
+        cast = np.asarray(elements).astype(np.int32)
+        assert restrict(q, cast).order == len(set(cast.tolist()))
+
+    @pytest.mark.parametrize("seed", [[0.5, 1], [2.9], np.array([1.0])])
+    def test_closure_rejects_non_integer_indices(self, seed):
+        q = trivial_quandle(3)
+        with pytest.raises(TypeError):
+            subquandle_closure(q, seed)
+        cast = np.asarray(seed).astype(np.int32)
+        assert subquandle_closure(q, cast) == set(cast.tolist())
+
 
 class TestHomomorphisms:
     def test_identity(self):
@@ -1058,6 +1076,15 @@ def test_fast_path_skips_self_distributivity_scan(monkeypatch):
 def test_relabel_rejects_non_permutation(perm):
     with pytest.raises(ValueError, match="not a permutation"):
         relabel(dihedral_quandle(3), perm)
+
+
+@pytest.mark.parametrize("perm", [[0, 1.5, 2], [0.0, 1.0, 2.0], np.array([2.0, 0.0, 1.0])])
+def test_relabel_rejects_non_integer_indices(perm):
+    # refused, not truncated: [0, 1.5, 2] is not the permutation [0, 1, 2]
+    q = dihedral_quandle(3)
+    with pytest.raises(TypeError):
+        relabel(q, perm)
+    assert relabel(q, np.asarray(perm).astype(np.int32)).order == 3
 
 
 @settings(max_examples=30, deadline=None)
