@@ -11,6 +11,7 @@ trefoil) witness is exactly Hopf-link (resp. trefoil) admissibility.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
@@ -122,12 +123,11 @@ def _galex_admissible(g, s):
     """The (hopf, trefoil) admissibility flags of GAlex(G, sigma) per row
     sigma of s, from d <| e = sigma(d), e <| d = sigma(d^-1) d,
     (d <| e) <| d = sigma(sigma(d) d^-1) d and (e <| d) <| e = sigma(e <| d).
-    sigma(d) = d forces e <| d = e, so no GAlex quandle is Hopf-witnessed."""
+    sigma(d) = d forces e <| d = e: no GAlex quandle is Hopf-witnessed."""
     m, e, ar, i = g.table, g.identity, np.arange(g.order), np.arange(len(s))[:, None]
     ed = m[s[:, g.inverse], ar]
-    hopf = (s == ar) & (ed != e)
     trefoil = (m[s[i, m[s, g.inverse]], ar] == e) & (s[i, ed] != ar)
-    return (~hopf.any(axis=1)).tolist(), (~trefoil.any(axis=1)).tolist()
+    return [True] * len(s), (~trefoil.any(axis=1)).tolist()
 
 
 def _aut_class_leaders(maps):
@@ -171,23 +171,48 @@ def dedup_by_isomorphism(records, tables):
     leaders (the least element of each orbit), then the rest, both
     ascending, so it branches on one element per orbit before a second
     one.  0 is a leader, so it comes first and is the pinned element.
+
+    Two kinds of pair get no search.  A table byte-equal to an earlier
+    one (one exact key per table) is in that one's class, so it is dropped
+    first and never kept.  And the records name each table's group G, with
+    the precondition that tables of one group are GAlex(G, sigma) for
+    pairwise non-conjugate sigma in Aut(G), as `census_galex`'s Aut-class
+    leaders are: two connected ones (a single Inn-orbit) are then not
+    isomorphic (Hulpke, Stanovsky & Vojtechovsky, "Connected quandles and
+    transitive groups", JPAA 2016; Nelson 2003 for abelian G).  Proof:
+    with R_g(x) = x g, S_y = R_y sigma R_y^-1 and S_y S_e^-1 =
+    R_(sigma(y)^-1 y), so Dis(Q(G, sigma)) = R(<sigma(y)^-1 y>), and Q is
+    connected iff it is R(G).  By homogeneity an isomorphism
+    f: Q(G, sigma) -> Q(G, tau) may fix e.  As f S_x S_y^-1 f^-1 =
+    S_fx S_fy^-1, f conjugates the one Dis onto the other, both R(G):
+    f R_g f^-1 = R_psi(g), psi in Aut(G).  So f(g) = f(R_g e) = psi(g),
+    and f S_e f^-1 = S_e gives psi sigma psi^-1 = tau: sigma and tau are
+    conjugate.  A table's columns are listed when it first enters a search.
     """
     t = np.asarray(tables)      # a stack as it is; numpy refuses mixed orders
+    if not len(t):
+        return [], []
     ar = np.arange(t.shape[-1])
     colors = _kernels.cycle_lengths(t[:, :, 0].T).T    # colors[a, x]: x's S_0-cycle
-    profiles = zip(map(tuple, np.sort(colors, axis=1).tolist()),
-                   np.count_nonzero(t[:, 0] == ar, axis=1).tolist())
-    lab, live = np.tile(ar, (len(t), 1)), np.arange(len(t))
+    profiles = list(zip(map(tuple, np.sort(colors, axis=1).tolist()),
+                        np.count_nonzero(t[:, 0] == ar, axis=1).tolist()))
+    first = np.sort(np.unique(_kernels._row_keys(t.reshape(len(t), -1)),
+                              return_index=True)[1])    # one exact key per table
+    lab, live = np.tile(ar, (len(t), 1)), first
     while live.size:            # least of each Inn-orbit; the loop drops settled rows
         new = lab[live[:, None, None], t[live]].min(axis=2)
         lab[live], live = new, live[(new != lab[live]).any(axis=1)]
     order = np.argsort(lab != ar, axis=1, kind="stable").tolist()
-    cols, colors = t.transpose(0, 2, 1).tolist(), colors.tolist()
+    # a connected table's group, else None: equal and not None means no search
+    solo = [r.group_name if c else None for r, c in zip(records, (lab == 0).all(axis=1))]
+    cols, colors = functools.cache(lambda i: t[i].T.tolist()), colors.tolist()
     keep, buckets, merges = [], defaultdict(list), []     # merges: (f, kept b, a)
-    for a, profile in enumerate(profiles):
-        bucket = buckets[profile]
+    for a in first.tolist():
+        bucket = buckets[profiles[a]]
         for b in bucket:
-            f = next(_list_isomorphisms(cols[b], cols[a], colors[b], colors[a],
+            if solo[a] is not None and solo[a] == solo[b]:
+                continue
+            f = next(_list_isomorphisms(cols(b), cols(a), colors[b], colors[a],
                                         order[b], [0]), None)
             if f is not None:
                 merges.append((f, b, a))
@@ -195,6 +220,7 @@ def dedup_by_isomorphism(records, tables):
         else:
             bucket.append(a)
             keep.append(a)
+    del cols                    # the listed columns go before the certificate's copies
     if merges:
         f, b, a = map(np.array, zip(*merges))
         bad = np.flatnonzero(~_homomorphisms(f, t[b], t[a]))

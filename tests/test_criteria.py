@@ -209,6 +209,81 @@ def _dedup_inputs(max_order):
     return seen
 
 
+def _walk_buckets(records, tables, prune):
+    """The dedup's walk over one order's inputs, rebuilt on validated
+    quandles with its own S_0-cycle colors, Inn-orbits and branch orders:
+    (quandles, colors, branch orders, steps, kept indices), with steps the
+    (kind, b, a, f) in the order the walk meets them.  kind "search" has f
+    the map of the pinned search from kept b to a, or None.  Without prune
+    every pair of kept b and later a in one bucket is searched, as the
+    dedup did before it skipped any.  With prune, a table equal to an
+    earlier one is "same" (b its first occurrence), and a pair of connected
+    quandles of one group is "skip"."""
+    qs = [validate_quandle(t) for t in tables]
+    colors, profiles, orders, connected = [], [], [], []
+    for q in qs:
+        s0, row0 = q.table[:, 0].tolist(), q.table[0].tolist()
+        lengths = []
+        for x in range(q.order):
+            y, m = s0[x], 1
+            while y != x:
+                y, m = s0[y], m + 1
+            lengths.append(m)
+        colors.append(lengths)
+        profiles.append((tuple(sorted(lengths)), sum(v == x for x, v in enumerate(row0))))
+        lab, prev = np.arange(q.order), None
+        while not np.array_equal(lab, prev):
+            lab, prev = lab[q.table].min(axis=1), lab
+        lab = lab.tolist()
+        orders.append(tuple([x for x, v in enumerate(lab) if v == x]
+                            + [x for x, v in enumerate(lab) if v != x]))
+        connected.append(set(lab) == {0})
+    first, steps, keep, buckets = {}, [], [], defaultdict(list)
+    for a, q in enumerate(qs):
+        b = first.setdefault(q.table.tobytes(), a)
+        if prune and b != a:
+            steps.append(("same", b, a, None))
+            continue
+        for b in buckets[profiles[a]]:
+            if (prune and connected[a] and connected[b]
+                    and records[a].group_name == records[b].group_name):
+                steps.append(("skip", b, a, None))
+                continue
+            f = next(_list_isomorphisms(qs[b].table.T.tolist(), q.table.T.tolist(),
+                                        colors[b], colors[a], orders[b], [0]), None)
+            steps.append(("search", b, a, f))
+            if f is not None:
+                break
+        else:
+            buckets[profiles[a]].append(a)
+            keep.append(a)
+    return qs, colors, orders, steps, keep
+
+
+def _pruned_walks(monkeypatch, max_order):
+    """Per group order of census_galex(max_order, dedup=True): the
+    (records, quandles, steps) of the pruned walk, after checking that the
+    dedup keeps the walk's records and makes exactly the walk's searches,
+    in the same order, with the same branch orders."""
+    calls, search = [], _list_isomorphisms
+
+    def capture(sa, sb, ca, cb, order, images):
+        calls.append((np.array(sa).T.tobytes(), np.array(sb).T.tobytes(), tuple(order)))
+        return search(sa, sb, ca, cb, order, images)
+
+    monkeypatch.setattr(criteria, "_list_isomorphisms", capture)
+    out = []
+    for records, tables in _dedup_inputs(max_order):
+        del calls[:]
+        kept = dedup_by_isomorphism(records, tables)[0]
+        qs, _, orders, steps, keep = _walk_buckets(records, tables, prune=True)
+        assert kept == [records[i] for i in keep]
+        assert calls == [(qs[b].table.tobytes(), qs[a].table.tobytes(), orders[b])
+                         for kind, b, a, _ in steps if kind == "search"]
+        out.append((records, qs, steps))
+    return out
+
+
 def _dedup_each_order(records, tables):
     """dedup_by_isomorphism over records sorted by order, one call per
     order, as census_galex makes them: the kept records and tables."""
@@ -281,15 +356,21 @@ class TestCensus:
             census_galex(128)
 
     def test_dedup_matches_unmerged_pairwise_dedup(self):
-        # The conjugacy merge must keep exactly what pairwise isomorphism
-        # search over every raw record keeps.
+        # The conjugacy merge and the dedup must keep exactly the first
+        # record of each class under pairwise isomorphic() over every raw
+        # record
         records = census_galex(12, dedup=True)
         raw_r = census_galex(12)
-        raw_q = census_quandles(raw_r)
-        ref_r, _ = _dedup_each_order(raw_r, [q.table for q in raw_q])
+        ref = []
+        for r, q in zip(raw_r, census_quandles(raw_r)):
+            if all(p.order != q.order or isomorphic(p, q) is None for _, p in ref):
+                ref.append((r, q))
         assert records == [
             r._replace(isomorphism_class_representative=True)
-            for r in ref_r]
+            for r, _ in ref]
+
+    def test_dedup_of_nothing_is_nothing(self):
+        assert dedup_by_isomorphism([], []) == ([], [])
 
     def test_stacked_tables_match_validated_per_map_tables(self):
         # every group up to order 32: the tables the dedup builds for all of
@@ -579,42 +660,82 @@ class TestCensus:
                 checked += rest.size
         assert checked == 1234
 
-    def test_branch_order_search_matches_relabelled_search(self, monkeypatch):
+    def test_branch_order_search_matches_relabelled_search(self):
         # the search on a relabelled copy is the oracle: for every pair the
-        # dedup searches at max order 32, the kept quandle q's branch order
-        # puts its Inn-orbit leaders first (by a min-label loop per
-        # quandle), and the search with that order on q finds a map exactly
+        # dedup searched at max order 32 before it skipped or pre-merged any
+        # (the unpruned bucket walk), the search with the kept quandle q's
+        # branch order, its Inn-orbit leaders first, finds a map exactly
         # when the search from 0 on relabel(q, perm), whose identity order
-        # is that branch order, does; the two maps agree through perm
-        calls, search = [], _list_isomorphisms
-
-        def capture(sa, sb, ca, cb, order, images):
-            f = next(search(sa, sb, ca, cb, order, images), None)
-            calls.append((sa, sb, ca, cb, order, images, f))
-            return iter([] if f is None else [f])
-
-        monkeypatch.setattr(criteria, "_list_isomorphisms", capture)
+        # is that branch order, does; the two maps agree through perm.
+        # _pruned_walks checks the dedup's own searches against the walk
+        outcomes, moved, searched = set(), set(), 0
         for records, tables in _dedup_inputs(32):
-            dedup_by_isomorphism(records, tables)
-        outcomes, moved = set(), set()
-        for sa, sb, ca, cb, order, images, f in calls:
-            q = validate_quandle(np.array(sa).T)
-            ar, lab, prev = np.arange(q.order), np.arange(q.order), None
-            while not np.array_equal(lab, prev):
-                lab, prev = lab[q.table].min(axis=1), lab
-            perm = np.argsort(np.argsort(lab != ar, kind="stable"))
-            assert list(order) == np.argsort(perm).tolist() and images == [0], q.label
-            colors = np.empty(q.order, dtype=np.int64)
-            colors[perm] = ca                   # perm(x) gets x's color
-            want = next(search(relabel(q, perm).table.T.tolist(), sb, colors.tolist(),
-                               cb, range(q.order), [0]), None)
-            assert (f is None) == (want is None)
-            if f is not None:
-                assert f == [want[p] for p in perm.tolist()]
-            outcomes.add(f is None)
-            moved.add(not np.array_equal(perm, ar))
+            qs, colors, orders, steps, _ = _walk_buckets(records, tables, prune=False)
+            for _, b, a, f in steps:
+                q, ar = qs[b], np.arange(qs[b].order)
+                perm = np.argsort(orders[b])    # x's place in the branch order
+                relabelled = np.empty(q.order, dtype=np.int64)
+                relabelled[perm] = colors[b]    # perm(x) gets x's color
+                want = next(_list_isomorphisms(
+                    relabel(q, perm).table.T.tolist(), qs[a].table.T.tolist(),
+                    relabelled.tolist(), colors[a], range(q.order), [0]), None)
+                assert (f is None) == (want is None), (records[b], records[a])
+                if f is not None:
+                    assert f == [want[p] for p in perm.tolist()]
+                searched += 1
+                outcomes.add(f is None)
+                moved.add(not np.array_equal(perm, ar))
         assert outcomes == moved == {False, True}
-        assert len(calls) == 699
+        assert searched == 699
+
+    def test_skipped_pairs_have_no_isomorphism(self, monkeypatch):
+        # the proof in dedup_by_isomorphism's docstring, checked: at max
+        # order 32 no pair the dedup skips, two connected quandles of one
+        # group, has an isomorphism, by the pinned search with constant
+        # colors or by isomorphic()
+        skipped = searched = 0
+        for records, qs, steps in _pruned_walks(monkeypatch, 32):
+            for kind, b, a, _ in steps:
+                if kind == "skip":
+                    same = [0] * qs[a].order
+                    assert next(_list_isomorphisms(
+                        qs[b].table.T.tolist(), qs[a].table.T.tolist(), same, same,
+                        range(qs[a].order), [0]), None) is None, (records[b], records[a])
+                    assert isomorphic(qs[b], qs[a]) is None, (records[b], records[a])
+                    assert records[b].group_name == records[a].group_name
+                skipped += kind == "skip"
+                searched += kind == "search"
+        assert (skipped, searched) == (407, 244)
+
+    def test_skip_needs_both_records_to_name_one_group(self):
+        # the two automorphisms of order 3 of (Z2)^2 are conjugate, and their
+        # connected quandles isomorphic: the dedup searches and merges them
+        # when the records name two groups, and skips the pair, keeping
+        # both as the docstring's precondition warns, when they name one
+        g = parse_group_spec("cyclic:2*cyclic:2")
+        auts = automorphisms(g)
+        c = np.flatnonzero((auts[:, 1:] != np.arange(1, 4)).all(axis=1)).tolist()
+        assert len(c) == 2 and criteria._aut_class_leaders(auts)[0][c].tolist() == [c[0]] * 2
+        tables = _galex_tables(g, auts[c])
+        assert isomorphic(validate_quandle(tables[0]), validate_quandle(tables[1]))
+        for names, kept in ((("a", "b"), 1), (("a", "a"), 2)):
+            records = [CensusRecord(name, 4, i, 4, True, True, True) for name, i in zip(names, c)]
+            assert len(dedup_by_isomorphism(records, tables)[0]) == kept
+
+    def test_premerged_tables_equal_their_first_occurrence(self, monkeypatch):
+        # at max order 32 every table the dedup drops before any search is
+        # byte-equal to the first table of its order with those bytes, which
+        # is not itself dropped
+        merged = 0
+        for records, qs, steps in _pruned_walks(monkeypatch, 32):
+            dropped = {a for kind, _, a, _ in steps if kind == "same"}
+            for kind, b, a, _ in steps:
+                if kind == "same":
+                    assert b < a and b not in dropped
+                    assert np.array_equal(qs[a].table, qs[b].table), (records[b], records[a])
+                    assert not any(np.array_equal(qs[a].table, q.table) for q in qs[:b])
+                    merged += 1
+        assert merged == 46
 
     def test_colored_dedup_keeps_what_constant_colors_keep(self, monkeypatch):
         # the S_0-cycle colors prune only maps that are no isomorphism: on
