@@ -92,12 +92,12 @@ def census_galex(max_group_order, dedup=False):
     unchecked from `automorphisms`, which proves them.  Every right
     translation R_g(x) = x g is an automorphism of B = GAlex(G, sigma), as
     (x g) <| (y g) = sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a
-    witness iff (x y^-1, e) is one: `_galex_admissible` reads the flags
-    off the pairs (d, e), and the raw census builds no table.  The R_g act
-    transitively, so B is homogeneous.  Dedup merges each Aut(G)-conjugacy
-    class, certified on the maps by `_aut_class_leaders`, and hands each
-    group order's class leaders, one (k, n, n) stack from `_galex_tables`,
-    to `dedup_by_isomorphism`: no quandle object and no inverse table."""
+    witness iff (x y^-1, e) is one: `_galex_trefoil_admissible` reads the
+    trefoil flags off the pairs (d, e), all Hopf flags are True, and the
+    raw census builds no table.  The R_g act transitively, so B is
+    homogeneous.  Dedup hands each group order's Aut(G)-class leaders
+    (`_aut_class_leaders`), one (k, n, n) stack from `_galex_tables`, to
+    `dedup_by_isomorphism`: no quandle object and no inverse table."""
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
     out = []
@@ -105,53 +105,49 @@ def census_galex(max_group_order, dedup=False):
         records, tables = [], []
         for grp in grps:
             s = automorphisms(grp)
-            keep = np.arange(len(s))
-            keep = (keep[_aut_class_leaders(s)[0] == keep] if dedup else keep).tolist()
-            records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, hopf, trefoil)
-                        for c, hopf, trefoil in zip(keep, *_galex_admissible(grp, s[keep]))]
+            keep = _aut_class_leaders(s) if dedup else list(range(len(s)))
+            records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, True, trefoil)
+                        for c, trefoil in zip(keep, _galex_trefoil_admissible(grp, s[keep]))]
             if dedup:
                 tables.append(_galex_tables(grp, s[keep]))
-        # A non-leader is isomorphic to its earlier leader, so the first
-        # record of every isomorphism class is a leader.
         if dedup:   # rebinding tables frees the per-group stacks before the search
             records = dedup_by_isomorphism(records, tables := np.concatenate(tables))[0]
         out += records
     return out
 
 
-def _galex_admissible(g, s):
-    """The (hopf, trefoil) admissibility flags of GAlex(G, sigma) per row
-    sigma of s, from d <| e = sigma(d), e <| d = sigma(d^-1) d,
-    (d <| e) <| d = sigma(sigma(d) d^-1) d and (e <| d) <| e = sigma(e <| d).
-    sigma(d) = d forces e <| d = e: no GAlex quandle is Hopf-witnessed."""
+def _galex_trefoil_admissible(g, s):
+    """The trefoil admissibility flags of GAlex(G, sigma) per row sigma of
+    s, from e <| d = sigma(d^-1) d, (d <| e) <| d = sigma(sigma(d) d^-1) d
+    and (e <| d) <| e = sigma(e <| d).  Every GAlex quandle is Hopf
+    admissible: d <| e = sigma(d) = d forces e <| d = e."""
     m, e, ar, i = g.table, g.identity, np.arange(g.order), np.arange(len(s))[:, None]
     ed = m[s[:, g.inverse], ar]
     trefoil = (m[s[i, m[s, g.inverse]], ar] == e) & (s[i, ed] != ar)
-    return [True] * len(s), (~trefoil.any(axis=1)).tolist()
+    return (~trefoil.any(axis=1)).tolist()
 
 
 def _aut_class_leaders(maps):
-    """(leader, phi) for the rows of maps, all of Aut(G) in `automorphisms`
-    order: leader[c] is the least index in the conjugacy class of sigma_c,
-    and phi[c] is the least index of a phi with phi sigma phi^-1 = sigma_c,
-    sigma = sigma_leader[c].  One gather per class builds each phi sigma
+    """The ascending indices of the Aut(G)-conjugacy class leaders, the
+    least index of each class, among the rows of maps, all of Aut(G) in
+    `automorphisms` order.  One gather per class builds each phi sigma
     phi^-1, whose key must be among the sorted row keys, or RuntimeError
-    names the conjugator.  Then phi, in Aut(G), is an isomorphism GAlex(G, sigma) ->
-    GAlex(G, sigma_c): phi(sigma(x y^-1) y) = sigma_c(phi(x) phi(y)^-1) phi(y)."""
+    names the conjugator.  A non-leader's record may be dropped: phi, in
+    Aut(G), maps GAlex(G, sigma) onto GAlex(G, tau), tau = phi sigma
+    phi^-1, as phi(sigma(x y^-1) y) = tau(phi(x) phi(y)^-1) phi(y)."""
     keys, inverses = _kernels._row_keys(maps), np.argsort(maps, axis=1)
-    ar, flat = np.arange(len(maps)), maps.ravel()
-    off = ar[:, None] * maps.shape[1]
-    leader, phi = np.full(len(maps), -1), np.full(len(maps), len(maps))
+    flat, off = maps.ravel(), np.arange(len(maps))[:, None] * maps.shape[1]
+    seen, leaders = np.zeros(len(maps), dtype=bool), []
     for i, sigma in enumerate(maps):
-        if leader[i] < 0:       # row j of conj is phi_j sigma phi_j^-1
+        if not seen[i]:         # row j of conj is phi_j sigma phi_j^-1
             conj = _kernels._row_keys(np.take(flat, sigma[inverses] + off))
             at = keys.searchsorted(conj)
             bad = (keys.take(at, mode="clip") != conj).nonzero()[0]
             if bad.size:
                 raise RuntimeError(f"conjugator {bad[0]} maps aut {i} out of the rows")
-            leader[at] = i      # all of sigma's class, unseen; phi[c]: least j at c
-            np.minimum.at(phi, at, ar)
-    return leader, phi
+            seen[at] = True     # all of sigma's class
+            leaders.append(i)
+    return leaders
 
 
 def dedup_by_isomorphism(records, tables):
@@ -160,12 +156,13 @@ def dedup_by_isomorphism(records, tables):
     proved homogeneous quandles, whose automorphisms move 0 to every
     element (see `census_galex`).  So if A and B are isomorphic, some
     isomorphism fixes 0, and every element has the invariant profile of 0:
-    the cycle type of S_0 and the fixed points of row 0.
-    Bucketed by profile of 0, the search pins f(0) = 0 and colors x by its
-    S_0-cycle's length.  An isomorphism f with f(0) = 0 has f S_0 = S_0 f,
-    so it maps x's S_0-cycle onto f(x)'s: the colors prune only
-    non-isomorphisms.  One pass checks every map found as a homomorphism
-    on the tables; RuntimeError names one that fails.
+    the cycle type of S_0 and the count of y with 0 <| y = 0, which is
+    S_0's fixed-point count, as both are 1/n of the pairs with x <| y = x.
+    Bucketed by the sorted S_0-cycle lengths, the search pins f(0) = 0 and
+    colors x by its S_0-cycle's length.  An isomorphism f with f(0) = 0
+    has f S_0 = S_0 f, so it maps x's S_0-cycle onto f(x)'s: the colors
+    prune only non-isomorphisms.  One pass checks every map found as a
+    homomorphism on the tables; RuntimeError names one that fails.
 
     The search from each kept A takes as its branch order A's Inn-orbit
     leaders (the least element of each orbit), then the rest, both
@@ -194,8 +191,7 @@ def dedup_by_isomorphism(records, tables):
         return [], []
     ar = np.arange(t.shape[-1])
     colors = _kernels.cycle_lengths(t[:, :, 0].T).T    # colors[a, x]: x's S_0-cycle
-    profiles = list(zip(map(tuple, np.sort(colors, axis=1).tolist()),
-                        np.count_nonzero(t[:, 0] == ar, axis=1).tolist()))
+    profiles = list(map(tuple, np.sort(colors, axis=1).tolist()))
     first = np.sort(np.unique(_kernels._row_keys(t.reshape(len(t), -1)),
                               return_index=True)[1])    # one exact key per table
     lab, live = np.tile(ar, (len(t), 1)), first

@@ -113,7 +113,7 @@ def _first_repeat(lines):
         seen.add(v)
 
 
-def validate_group(table, name="group", labels=()):
+def validate_group(table, name="group"):
     """Check all group axioms on an n x n table and build a FiniteGroup.
 
     Raises NotLatinSquare / NoIdentity / NotAssociative naming the first
@@ -137,7 +137,7 @@ def validate_group(table, name="group", labels=()):
     hit = _kernels.assoc_violation(t)
     if hit:
         raise NotAssociative(*hit)
-    return _group(t, name, labels)
+    return _group(t, name, ())
 
 
 def _group(t, name, labels):

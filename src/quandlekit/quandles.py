@@ -17,6 +17,7 @@ from .errors import (
     AutomorphismMismatch,
     ClosureViolation,
     ColumnNotBijective,
+    NotASubgroup,
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
@@ -165,14 +166,17 @@ def hopf_extension(g: FiniteGroup, n: Subgroup):
     on G x G, and the ClosureViolation check proves G x N closed under <|,
     which makes it a subquandle.
 
-    Raises OrderTooLarge when |G| * |N| exceeds MAX_TABLE_ORDER.
+    Raises NotASubgroup on empty, out-of-range or repeated elements of N,
+    and OrderTooLarge when |G| * |N| exceeds MAX_TABLE_ORDER.
     """
     if n.group is not g and not n.group.same_table(g):
         raise NotNormal("subgroup is not over the given group")
     if not n.normal:
         raise NotNormal("subgroup is not normal")
-    nelems = np.asarray(n.elements, dtype=np.int64)
-    nsize = nelems.size
+    nelems = sorted(map(index, n.elements))
+    if not nelems or nelems[0] < 0 or nelems[-1] >= g.order or len(set(nelems)) < len(nelems):
+        raise NotASubgroup("subgroup elements must be nonempty, in range and distinct")
+    nelems, nsize = np.array(nelems, dtype=np.int64), len(nelems)
     size = g.order * nsize
     if size > MAX_TABLE_ORDER:
         raise OrderTooLarge(f"order {size} exceeds bound {MAX_TABLE_ORDER}")
@@ -210,7 +214,7 @@ def subquandle_closure(q: FiniteQuandle, seed):
     return _closure(q.table, s)
 
 
-def restrict(q: FiniteQuandle, elements, label=""):
+def restrict(q: FiniteQuandle, elements):
     """Subquandle on an explicit closed element set, reindexed by sorted
     position.  A closed subset of a finite quandle is a quandle."""
     elems = sorted(map(index, set(elements)))
@@ -222,7 +226,7 @@ def restrict(q: FiniteQuandle, elements, label=""):
     t = idx[q.table[np.ix_(e, e)]]
     if (t < 0).any():
         raise ValueError("element set is not closed under <|")
-    return _quandle(t, label or f"{q.label}|{elems}")
+    return _quandle(t, f"{q.label}|{elems}")
 
 
 def is_homomorphism(f, src: FiniteQuandle, dst: FiniteQuandle):
@@ -248,7 +252,7 @@ def invariant_profile(q: FiniteQuandle):
     """Per-element invariant used to prune isomorphism search: the sorted
     cycle lengths of the points under the column permutation S_x (a cycle
     of length l gives l entries l, so this is S_x's cycle type) plus the
-    fixed-point count of row x."""
+    number of y with x <| y = x."""
     t = q.table
     lens = np.sort(_kernels.cycle_lengths(t), axis=0).T.tolist()
     fix = np.count_nonzero(t == np.arange(q.order)[:, None], axis=1).tolist()

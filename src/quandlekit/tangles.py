@@ -227,13 +227,11 @@ def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count"):
             raise OutputCapExceeded(f"more than {DEFAULT_OUTPUT_CAP} colorings")
         m = m[:, _kernels._row_keys(m.T).argsort()]
         return [Coloring(tuple(col)) for col in m.T.tolist()]
-    idx = np.flatnonzero(m[d.start_arc] != m[d.end_arc])    # the witnesses
-    if not idx.size:
+    w = m[:, m[d.start_arc] != m[d.end_arc]]    # the witnesses
+    if not w.shape[1]:
         return AdmissibilityVerdict(True, None)
-    a = 0
-    while idx.size > 1:     # the colorings are distinct: narrow to the least one
-        idx, a = idx[m[a, idx] == m[a, idx].min()], a + 1
-    return AdmissibilityVerdict(False, Coloring(tuple(m[:, idx[0]].tolist())))
+    first = w[:, _kernels._row_keys(w.T).argmin()]     # the least, as list sorts
+    return AdmissibilityVerdict(False, Coloring(tuple(first.tolist())))
 
 
 def fundamental_quandle_presentation(d: TangleDiagram):

@@ -177,9 +177,10 @@ def _brute_force_isomorphic(a, b):
 
 
 def _aut_class_leaders_by_dict(maps):
-    """Oracle for `criteria._aut_class_leaders`: per row c, the least index
-    l of its Aut(G)-conjugacy class and the first phi in row order with
-    phi sigma_l phi^-1 = sigma_c, looked up in a dict of row tuples."""
+    """Oracle for `criteria._aut_class_leaders`, whose leaders are the rows
+    c with l = c: per row c, the least index l of its Aut(G)-conjugacy
+    class and the first phi in row order with phi sigma_l phi^-1 = sigma_c,
+    looked up in a dict of row tuples."""
     index = {row: i for i, row in enumerate(map(tuple, maps.tolist()))}
     inverses = np.argsort(maps, axis=1)
     out = [None] * len(maps)
@@ -578,26 +579,22 @@ class TestCensus:
     ])
     def test_aut_conjugacy_class_counts(self, spec, classes):
         auts = automorphisms(parse_group_spec(spec))
-        leader, index = criteria._aut_class_leaders(auts)
-        assert np.count_nonzero(leader == np.arange(len(auts))) == classes
-        for c, (li, p) in enumerate(zip(leader.tolist(), index.tolist())):
-            assert li <= c and leader[li] == li
-            phi = auts[p]
+        leaders = criteria._aut_class_leaders(auts)
+        assert len(leaders) == classes
+        for c, (li, phi) in enumerate(_aut_class_leaders_by_dict(auts)):
+            assert li <= c and li in leaders
             phi_inv = {int(v): x for x, v in enumerate(phi)}
             conj = tuple(int(phi[auts[li][phi_inv[y]]])
                          for y in range(len(phi)))
             assert conj == tuple(auts[c].tolist())
 
     def test_aut_class_leaders_match_row_dict(self):
-        # the search over sorted row keys gives the leaders and conjugators
-        # that a dict from row tuples to indices gives, on every group of
-        # census_catalog(64)
+        # the search over sorted row keys gives the leaders that a dict from
+        # row tuples to indices gives, on every group of census_catalog(64)
         for g in census_catalog(64):
             auts = automorphisms(g)
-            leader, index = criteria._aut_class_leaders(auts)
-            want = _aut_class_leaders_by_dict(auts)
-            assert leader.tolist() == [li for li, _ in want], g.name
-            assert np.array_equal(auts[index], [phi for _, phi in want]), g.name
+            want = [c for c, (li, _) in enumerate(_aut_class_leaders_by_dict(auts)) if li == c]
+            assert criteria._aut_class_leaders(auts) == want, g.name
 
     def test_failed_conjugation_certificate_raises(self, monkeypatch):
         # the conjugates of a class are certified as one array of row keys;
@@ -646,18 +643,20 @@ class TestCensus:
     def test_conjugators_are_isomorphisms_on_the_tables(self):
         # the census certifies each Aut(G)-class merge on the maps; this
         # checks it on the tables: for every non-leader c of every group up
-        # to order 32, phi[c] maps GAlex(G, sigma_leader[c]) homomorphically
-        # (and, as an automorphism of G, bijectively) onto GAlex(G, sigma_c)
+        # to order 32, the oracle's conjugator phi maps GAlex(G, sigma_l),
+        # sigma_l its class leader, homomorphically (and, as an automorphism
+        # of G, bijectively) onto GAlex(G, sigma_c)
         checked = 0
         for g in census_catalog(32):
             s = automorphisms(g)
-            leader, phi = criteria._aut_class_leaders(s)
-            rest = np.flatnonzero(leader != np.arange(len(s)))
-            if rest.size:
-                src = _galex_tables(g, s[leader[rest]])
-                dst = _galex_tables(g, s[rest])
-                assert _homomorphisms(s[phi[rest]], src, dst).all(), g.name
-                checked += rest.size
+            rest = [(c, li, phi) for c, (li, phi) in enumerate(_aut_class_leaders_by_dict(s))
+                    if li != c]
+            assert {li for _, li, _ in rest} <= set(criteria._aut_class_leaders(s))
+            if rest:
+                c, li, phi = map(np.array, zip(*rest))
+                src, dst = _galex_tables(g, s[li]), _galex_tables(g, s[c])
+                assert _homomorphisms(phi, src, dst).all(), g.name
+                checked += len(rest)
         assert checked == 1234
 
     def test_branch_order_search_matches_relabelled_search(self):
@@ -715,7 +714,8 @@ class TestCensus:
         g = parse_group_spec("cyclic:2*cyclic:2")
         auts = automorphisms(g)
         c = np.flatnonzero((auts[:, 1:] != np.arange(1, 4)).all(axis=1)).tolist()
-        assert len(c) == 2 and criteria._aut_class_leaders(auts)[0][c].tolist() == [c[0]] * 2
+        classes = _aut_class_leaders_by_dict(auts)
+        assert len(c) == 2 and [classes[x][0] for x in c] == [c[0]] * 2
         tables = _galex_tables(g, auts[c])
         assert isomorphic(validate_quandle(tables[0]), validate_quandle(tables[1]))
         for names, kept in ((("a", "b"), 1), (("a", "a"), 2)):

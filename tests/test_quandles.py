@@ -14,6 +14,7 @@ from quandlekit.errors import (
     ClosureViolation,
     ColumnNotBijective,
     FileFormatError,
+    NotASubgroup,
     NotIdempotent,
     NotNormal,
     NotSelfDistributive,
@@ -447,6 +448,13 @@ class TestCycleLengths:
                 assert col == tuple(sorted(l for l in lens for _ in range(l)))
                 assert fix == rows[x].count(x)
 
+    def test_only_y_equal_to_x_has_x_op_y_equal_y(self, quandle_list, class_tables):
+        # x <| x = x, and x <| y = y = y <| y forces x = y as S_y is
+        # injective: the count of y with 0 <| y = y is 1 on every quandle,
+        # so the census dedup does not bucket by it
+        for t in [q.table for q in quandle_list] + class_tables:
+            assert np.array_equal(t == np.arange(len(t)), np.eye(len(t), dtype=bool))
+
 
 def _validate_quandle_loop(t):
     """Reference for validate_quandle on an in-range square table: the
@@ -759,6 +767,20 @@ class TestHopfExtension:
         bad = next(s for s in subgroups(g) if len(s.elements) == 2)
         with pytest.raises(NotNormal):
             hopf_extension(g, bad)
+
+    def test_hand_built_subgroup_elements_are_checked(self):
+        # a Subgroup built by hand may list its elements empty, out of
+        # range, repeated or unsorted; they are ranked in sorted order, which
+        # shows on the non-abelian S3 (all HopfExt(C4, N) are trivial)
+        g = cyclic_group(4)
+        for bad in [(0, 2, 2), (), (0, 5), (-1,)]:
+            with pytest.raises(NotASubgroup, match="nonempty, in range and distinct"):
+                hopf_extension(g, Subgroup(g, bad, True))
+        assert hopf_extension(g, Subgroup(g, (2, 0), True)).same_table(
+            hopf_extension(g, Subgroup(g, (0, 2), True)))
+        s3 = catalog("symmetric", 3)
+        assert hopf_extension(s3, Subgroup(s3, (4, 3, 0), True)).same_table(
+            hopf_extension(s3, Subgroup(s3, (0, 3, 4), True)))
 
     def test_subgroup_of_another_group(self):
         # all of Z6, normal there; as an element set it is all of S3 too

@@ -403,7 +403,7 @@ class TestSolver:
 
     def test_count_and_admissibility_sort_nothing(self, monkeypatch):
         # only the list is put in lexicographic order; the first witness
-        # comes from narrowing the witnesses arc by arc
+        # is the least of the witnesses by row key, with no sort
         g = catalog("quaternion8")
         q = galex(g, [0, 1, 4, 5, 6, 7, 2, 3])
         d = builtin_tangle("trefoil")
