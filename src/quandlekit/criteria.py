@@ -105,11 +105,12 @@ def census_galex(max_group_order, dedup=False):
         records, tables = [], []
         for grp in grps:
             s = automorphisms(grp)
-            keep = _aut_class_leaders(s) if dedup else list(range(len(s)))
+            keep = _aut_class_leaders(s) if dedup else range(len(s))
+            if dedup:           # raw, s itself: s[keep] would copy all of Aut(G)
+                s = s[keep]
+                tables.append(_galex_tables(grp, s))
             records += [CensusRecord(grp.name, grp.order, c, grp.order, dedup, True, trefoil)
-                        for c, trefoil in zip(keep, _galex_trefoil_admissible(grp, s[keep]))]
-            if dedup:
-                tables.append(_galex_tables(grp, s[keep]))
+                        for c, trefoil in zip(keep, _galex_trefoil_admissible(grp, s))]
         if dedup:   # rebinding tables frees the per-group stacks before the search
             records = dedup_by_isomorphism(records, tables := np.concatenate(tables))[0]
         out += records
@@ -217,8 +218,9 @@ def dedup_by_isomorphism(records, tables):
             bucket.append(a)
             keep.append(a)
     del cols                    # the listed columns go before the certificate's copies
-    if merges:
-        f, b, a = map(np.array, zip(*merges))
+    step = max(1, _kernels._SLAB // t[0].size)     # merges per certificate chunk
+    for c in range(0, len(merges), step):
+        f, b, a = map(np.array, zip(*merges[c:c + step]))
         bad = np.flatnonzero(~_homomorphisms(f, t[b], t[a]))
         if bad.size:
             raise RuntimeError(f"search map {f[bad[0]].tolist()} is no isomorphism")

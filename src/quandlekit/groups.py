@@ -59,8 +59,7 @@ class FiniteGroup:
         return bool(np.array_equal(self.table, self.table.T))
 
     def element_orders(self):
-        # the cycle of e under right multiplication by x is e, x, x^2, ...
-        return _kernels.cycle_lengths(self.table)[self.identity].tolist()
+        return _powers(self)[1].tolist()
 
     def label(self, i):
         return self.labels[i] if self.labels else str(i)
@@ -371,32 +370,85 @@ def subgroup_from_elements(g: FiniteGroup, elements):
 MAX_AUTOMORPHISMS = 10**5
 
 
-def _generation(g: FiniteGroup):
+def _powers(g: FiniteGroup):
+    """(pw, orders): pw[p, x] = x^p for p in 0..n, and orders[x] the least
+    p >= 1 with x^p = e, which is at most n.  Doubling fills the table in
+    about log2 n gathers, as x^(s+q) = x^s x^q."""
+    m, n = g.table, g.order
+    pw = np.empty((n + 1, n), dtype=np.int64)
+    pw[0], pw[1], s = g.identity, np.arange(n), 1
+    while s < n:
+        t = min(s, n - s)
+        pw[s + 1:s + t + 1] = m[pw[s], pw[1:t + 1]]
+        s += t
+    return pw, (pw[1:] == g.identity).argmax(axis=0) + 1
+
+
+def _generation(g: FiniteGroup, pw, orders):
     """(seq, stages) for the greedy generating sequence of G: h_j is the
     least element outside H_(j-1) = <h_1, ..., h_(j-1)>.  seq lists e, then
-    per j the elements of H_j - H_(j-1), h_j first; stages[j - 1] =
-    (|H_(j-1)|, |H_j|, layers), so h_j = seq[|H_(j-1)|].  Each layer (i, y,
-    w) appends seq[i:] = seq[y] seq[w], ascending, every new product of
-    two elements reached so far, so the reached set R grows to R R."""
+    per j the elements of H_j - H_(j-1); stages[j - 1] = (|H_(j-1)|, |H_j|,
+    ps, layers).  The stage opens with h_j^p for the ascending p in ps, the
+    powers of h_j outside H_(j-1), so h_j = seq[|H_(j-1)|] (p = 1).  Each
+    layer (i, y, w) appends seq[i:] = seq[y] seq[w], ascending, the new
+    products with a factor in the block before it (the powers, then the
+    last layer): products of two older elements lie in H_(j-1) or <h_j>, or
+    the layer before holds them.  So the reached set R grows to R R."""
     m, n = g.table, g.order
     seq, stages, reached = np.array([g.identity]), [], np.zeros(n, dtype=bool)
     reached[g.identity] = True
     while seq.size < n:                 # seq lists the reached elements
         k, h = seq.size, int(np.argmin(reached))
-        seq, layers = np.append(seq, h), []
-        reached[h] = True
+        ps = 1 + np.flatnonzero(~reached[pw[1:orders[h], h]])
+        seq, layers, a = np.append(seq, pw[ps, h]), [], k
+        reached[seq[k:]] = True
         while seq.size < n:             # at H_j = G, no product confirms closure
-            src = np.full(n, -1)            # a pair (y, w) per product
-            src[m[seq[:, None], seq].ravel()] = np.arange(seq.size ** 2)
+            fresh = np.arange(seq.size) >= a        # the block before the layer
+            y, w = np.nonzero(fresh[:, None] | fresh)
+            src = np.full(n, -1)            # a pair (y[i], w[i]) per product
+            src[m[seq[y], seq[w]]] = np.arange(y.size)
             src[reached] = -1
             new = np.flatnonzero(src >= 0)
             if not new.size:
                 break
-            layers.append((seq.size, *np.divmod(src[new], seq.size)))
-            reached[new] = True
+            layers.append((seq.size, y[src[new]], w[src[new]]))
+            reached[new], a = True, seq.size
             seq = np.append(seq, new)
-        stages.append((k, seq.size, layers))
+        stages.append((k, seq.size, ps, layers))
     return seq, stages
+
+
+def _partial_automorphisms(g: FiniteGroup):
+    """Yield (seq[:|H_j|], f) for j = 0, 1, ...: the rows of f are the
+    injective homomorphisms H_j -> G, row r mapping seq[i] to f[r, i], in
+    lexicographic order.  See `automorphisms`."""
+    m, n, e = g.table, g.order, g.identity
+    pw, orders = _powers(g)
+    seq, stages = _generation(g, pw, orders)
+    pos, f, hs = np.argsort(seq), np.full((1, 1), e), []    # f[i]: map i on seq
+    yield seq[:1], f
+    for k, end, ps, layers in stages:
+        hs.append(k)                                    # the h_i in seq
+        # the edges (x, h_i), i <= j, for x in H_j - H_(j-1)
+        xs, gs = np.repeat(np.arange(k, end), len(hs)), np.tile(hs, end - k)
+        c, cand = pos[m[seq[xs], seq[gs]]], np.flatnonzero(orders == orders[seq[k]])
+        step, rows = max(1, _kernels._SLAB // xs.size), len(f) * cand.size
+        kept, count = [], 0
+        for r0 in range(0, rows, step):     # row r: f[r // |cand|], cand[r % |cand|]
+            r, i = np.divmod(np.arange(r0, min(r0 + step, rows)), cand.size)
+            x = np.empty((r.size, end), dtype=np.int64)
+            x[:, :k], x[:, k:k + ps.size] = f[r], pw[ps, cand[i, None]]
+            for col, y, w in layers:
+                x[:, col:col + y.size] = np.take(m, x[:, y] * n + x[:, w])
+            hom = (np.take(m, x[:, xs] * n + x[:, gs]) == x[:, c]).all(axis=1)
+            kept.append(x[hom & (x[:, k:] != e).all(axis=1)])
+            count += len(kept[-1])
+            if count > MAX_AUTOMORPHISMS:
+                what = "automorphisms" if end == n else (
+                    f"partial automorphisms, on its order-{end} subgroup")
+                raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
+        f = np.concatenate(kept)
+        yield seq[:end], f
 
 
 def automorphisms(g: FiniteGroup):
@@ -410,40 +462,26 @@ def automorphisms(g: FiniteGroup):
     (earlier row, ascending candidate) order.
 
     Stage j extends each injective homomorphism H_(j-1) -> G (see
-    `_generation`) by every image of h_j of the same element order, fills
-    H_j by f(y w) = f(y) f(w) one layer at a time, and keeps the rows with
-    f(x h_i) = f(x) f(h_i) for all x in H_j and i <= j and f(x) = e only
-    for x = e: by induction on word length such an f is a homomorphism on
-    H_j with trivial kernel, and at H_j = G an automorphism.  Rows are
-    expanded in chunks of about _kernels._SLAB entries.  Raises
-    OrderTooLarge once a stage keeps more than MAX_AUTOMORPHISMS rows: at
-    the last stage automorphisms, at an earlier one partial maps, which
-    may outnumber Aut(G)."""
-    m, n, e = g.table, g.order, g.identity
-    orders = np.array(g.element_orders())
-    seq, stages = _generation(g)
-    pos, f, hs = np.argsort(seq), np.full((1, 1), e), []    # f[i]: map i on seq
-    for k, end, layers in stages:
-        hs.append(k)                                    # the h_i in seq
-        c = pos[m[seq[:end, None], seq[hs]]]            # x h_i in seq
-        cand = np.flatnonzero(orders == orders[seq[k]])
-        step, rows = max(1, _kernels._SLAB // (end * len(hs))), len(f) * cand.size
-        kept, count = [], 0
-        for r0 in range(0, rows, step):     # row r: f[r // |cand|], cand[r % |cand|]
-            r, i = np.divmod(np.arange(r0, min(r0 + step, rows)), cand.size)
-            x = np.empty((r.size, end), dtype=np.int64)
-            x[:, :k], x[:, k] = f[r], cand[i]
-            for col, y, w in layers:
-                x[:, col:col + y.size] = np.take(m, x[:, y] * n + x[:, w])
-            hom = np.take(m, x[:, :, None] * n + x[:, None, hs]) == x[:, c]
-            kept.append(x[hom.all(axis=(1, 2)) & (x[:, k:] != e).all(axis=1)])
-            count += len(kept[-1])
-            if count > MAX_AUTOMORPHISMS:
-                what = "automorphisms" if end == n else (
-                    f"partial automorphisms, on its order-{end} subgroup")
-                raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
-        f = np.concatenate(kept)
-    maps = f.take(pos, axis=1)      # C order: f[:, pos] is in Fortran order
+    `_generation`) by every image c of h = h_j of the same element order.
+    One gather from the power table (`_powers`) sets f(h^p) = c^p on the
+    powers of h outside H_(j-1), as every homomorphism must; product
+    layers fill the rest of H_j by f(y w) = f(y) f(w).  A row is kept if
+    f(x) != e and f(x h_i) = f(x) f(h_i) for every new x, in
+    H_j - H_(j-1), and i <= j.  The old x need no edge.  For i < j the
+    parent row, whose values the row copies, passed them.  For h, let d
+    be the least p > 0 with h^d in H_(j-1): x h^p is new for 0 < p < d,
+    so the new edges give f(x h^d) = f(x h) f(h)^(d-1), and at x = e
+    f(h^d) = f(h)^d; on H_(j-1) f is a homomorphism, so f(x h^d) =
+    f(x) f(h)^d and f(x h) = f(x) f(h).  This is also where c^d meets the
+    parent's f(h^d).  The g with f(x g) = f(x) f(g) for all x in H_j are
+    closed under products (f(e) = e), so f is a homomorphism on H_j with
+    trivial kernel, at H_j = G an automorphism.  Rows are expanded in
+    chunks of about _kernels._SLAB edge entries.  Raises OrderTooLarge
+    once a stage keeps more than MAX_AUTOMORPHISMS rows: at the last stage
+    automorphisms, at an earlier one partial maps, which may outnumber
+    Aut(G)."""
+    seq, f = deque(_partial_automorphisms(g), maxlen=1).pop()
+    maps = f.take(np.argsort(seq), axis=1)  # C order: f[:, pos] is in Fortran order
     maps.setflags(write=False)
     return maps
 

@@ -330,55 +330,110 @@ class TestFamiliesMatchExplicitElements:
         assert g.labels == tuple(map(str, elements))
 
 
-def _generation_reference(g):
-    """`groups._generation` as first written, a reference for it: loop
-    until every element is reached, and take the products both set in
-    src and not yet reached."""
-    m, n = g.table, g.order
-    seq, stages, reached = np.array([g.identity]), [], np.zeros(n, dtype=bool)
-    reached[g.identity] = True
-    while not reached.all():
-        k, h = seq.size, int(np.argmin(reached))
-        seq, layers = np.append(seq, h), []
-        reached[h] = True
-        while not reached.all():
-            src = np.full(n, -1)
-            src[m[seq[:, None], seq].ravel()] = np.arange(seq.size ** 2)
-            new = np.flatnonzero((src >= 0) & ~reached)
-            if not new.size:
-                break
-            layers.append((seq.size, *np.divmod(src[new], seq.size)))
-            reached[new] = True
-            seq = np.append(seq, new)
-        stages.append((k, seq.size, layers))
-    return seq, stages
+def _catalog64_and_relabelled():
+    """Every group of census_catalog(64), then 25 of them relabelled so
+    that the identity is not 0."""
+    rng = np.random.default_rng(20261020)
+    gs = census_catalog(64)
+    relabelled = []
+    for i in rng.choice(np.arange(1, len(gs)), size=25, replace=False):
+        t, p = gs[i].table, rng.permutation(gs[i].order)
+        if p[gs[i].identity] == 0:
+            p = np.roll(p, 1)
+        r = np.empty_like(t)
+        r[np.ix_(p, p)] = p[t]
+        relabelled.append(validate_group(r, name=f"{gs[i].name}~"))
+    assert all(g.identity != 0 for g in relabelled)
+    return gs + relabelled
 
 
 class TestAutomorphisms:
-    def test_generation_matches_reference(self):
-        # every group of census_catalog(64), and 25 of them relabelled so
-        # that the identity is not 0: the same sequence, stages and layers
-        rng = np.random.default_rng(20261020)
-        gs = census_catalog(64)
-        relabelled = []
-        for i in rng.choice(np.arange(1, len(gs)), size=25, replace=False):
-            t, p = gs[i].table, rng.permutation(gs[i].order)
-            if p[gs[i].identity] == 0:
-                p = np.roll(p, 1)
-            r = np.empty_like(t)
-            r[np.ix_(p, p)] = p[t]
-            relabelled.append(validate_group(r, name=f"{gs[i].name}~"))
-        assert all(g.identity != 0 for g in relabelled)
-        for g in gs + relabelled:
-            seq, stages = groups._generation(g)
-            want_seq, want_stages = _generation_reference(g)
-            assert np.array_equal(seq, want_seq), g.name
-            assert len(stages) == len(want_stages), g.name
-            for (k, end, layers), (wk, wend, wlayers) in zip(stages, want_stages):
-                assert (k, end, len(layers)) == (wk, wend, len(wlayers)), g.name
-                for got, want in zip(layers, wlayers):
-                    assert got[0] == want[0], g.name
-                    assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:])), g.name
+    def test_powers_match_repeated_multiplication(self):
+        for g in _catalog64_and_relabelled():
+            pw, orders = groups._powers(g)
+            assert pw.shape == (g.order + 1, g.order), g.name
+            power, ar = np.full(g.order, g.identity), np.arange(g.order)
+            for p in range(g.order + 1):
+                assert np.array_equal(pw[p], power), (g.name, p)
+                power = g.table[power, ar]
+            assert orders.tolist() == g.element_orders(), g.name
+
+    def test_generation_structure(self):
+        """`_generation` checked against the table alone: seq is a
+        permutation of G; h_j is the least element outside H_(j-1); the
+        power columns hold h_j^p for the p with h_j^p outside H_(j-1); each
+        layer column holds seq[y] seq[w]; each layer adds exactly the
+        products of two reached elements that were not reached; and each
+        stage ends on a subgroup."""
+        for g in _catalog64_and_relabelled():
+            m, n = g.table.tolist(), g.order
+            seq, stages = groups._generation(g, *groups._powers(g))
+            seq = seq.tolist()
+            assert sorted(seq) == list(range(n)) and seq[0] == g.identity, g.name
+            done = 1
+            for k, end, ps, layers in stages:
+                assert k == done, g.name
+                h = seq[k]
+                assert h == min(set(range(n)) - set(seq[:k])), g.name
+                powers, x = [], h
+                while x != g.identity:
+                    powers.append(x)
+                    x = m[x][h]
+                want = [p for p, x in enumerate(powers, 1) if x not in seq[:k]]
+                assert ps.tolist() == want, g.name
+                assert seq[k:k + ps.size] == [powers[p - 1] for p in want], g.name
+                col = k + ps.size
+                for i, y, w in layers:
+                    assert i == col and y.max() < i and w.max() < i, g.name
+                    got = seq[i:i + y.size]
+                    assert got == [m[seq[a]][seq[b]] for a, b in zip(y.tolist(), w.tolist())]
+                    reached = set(seq[:i])
+                    assert got == sorted({m[a][b] for a in reached for b in reached} - reached)
+                    col += y.size
+                assert col == end, g.name
+                sub = set(seq[:end])
+                assert all(m[a][b] in sub for a in sub for b in sub), g.name
+                done = end
+            assert done == n, g.name
+
+    def test_stages_keep_the_injective_homomorphisms(self):
+        """Each stage's partial maps are all the injective homomorphisms
+        H_j -> G, in lexicographic order: a brute-force list over the
+        injective maps, for every group of order <= 8 and two relabelled
+        ones.  So the edges a stage checks suffice."""
+        gs = census_catalog(8) + [self.identity_last(parse_group_spec("symmetric:3")),
+                                  self.identity_last(parse_group_spec("quaternion8"))]
+        for g in gs:
+            m, stages = g.table, 0
+            for dom, f in groups._partial_automorphisms(g):
+                at = {x: i for i, x in enumerate(dom.tolist())}
+                prod = np.array([[at[m[x, y]] for y in dom] for x in dom])
+                maps = np.array(list(itertools.permutations(range(g.order), dom.size)))
+                hom = (maps[:, prod] == m[maps[:, :, None], maps[:, None, :]]).all(axis=(1, 2))
+                assert f.tolist() == maps[hom].tolist(), (g.name, dom.size)
+                stages += 1
+            assert dom.size == g.order and stages > 1 or g.order == 1, g.name
+
+    def test_stage_rows_are_injective_homomorphisms(self):
+        """On larger groups, each stage's rows checked on every pair of
+        H_j: every census_catalog(64) group, the relabelled ones, and 40
+        random relabellings of each non-abelian group of order <= 16, whose
+        generators h_j then come in other orders."""
+        rng = np.random.default_rng(20261021)
+        gs = _catalog64_and_relabelled()
+        for g in census_catalog(16):
+            for p in [rng.permutation(g.order) for _ in range(40 * (not g.is_abelian()))]:
+                r = np.empty_like(g.table)
+                r[np.ix_(p, p)] = p[g.table]
+                gs.append(validate_group(r, name=f"{g.name}~"))
+        for g in gs:
+            m, at = g.table, np.full(g.order, -1)
+            for dom, f in groups._partial_automorphisms(g):
+                at[dom] = np.arange(dom.size)           # dom[at[x]] = x
+                prod = at[m[np.ix_(dom, dom)]]
+                assert (prod >= 0).all(), g.name
+                assert (f[:, prod] == m[f[:, :, None], f[:, None, :]]).all(), g.name
+                assert (np.sort(f, axis=1)[:, 1:] != np.sort(f, axis=1)[:, :-1]).all()
 
     def test_z2(self):
         assert len(automorphisms(cyclic_group(2))) == 1
