@@ -162,8 +162,9 @@ def dedup_by_isomorphism(records, tables):
     Bucketed by the sorted S_0-cycle lengths, the search pins f(0) = 0 and
     colors x by its S_0-cycle's length.  An isomorphism f with f(0) = 0
     has f S_0 = S_0 f, so it maps x's S_0-cycle onto f(x)'s: the colors
-    prune only non-isomorphisms.  One pass checks every map found as a
-    homomorphism on the tables; RuntimeError names one that fails.
+    prune only non-isomorphisms.  One pass, in chunks of about _SLAB table
+    entries, checks every map found as a homomorphism on the tables;
+    RuntimeError names one that fails.
 
     The search from each kept A takes as its branch order A's Inn-orbit
     leaders (the least element of each orbit), then the rest, both
