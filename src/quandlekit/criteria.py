@@ -89,15 +89,21 @@ def census_galex(max_group_order, dedup=False):
     order; with dedup, only the first of each quandle isomorphism class.
 
     The records come from each group's (|Aut(G)|, n) array of maps, taken
-    unchecked from `automorphisms`, which proves them.  Every right
+    unchecked from `automorphisms`, which proves them; its stage 1, on the
+    cyclic <h_1>, needs no product layer and no edge check, as every
+    f(h_1^p) = c^p with c of h_1's order d is an injective homomorphism
+    (c^d = e, and c^p != e for 0 < p < d).  Every right
     translation R_g(x) = x g is an automorphism of B = GAlex(G, sigma), as
     (x g) <| (y g) = sigma(x y^-1) y g = (x <| y) g.  So (x, y) is a
     witness iff (x y^-1, e) is one: `_galex_trefoil_admissible` reads the
     trefoil flags off the pairs (d, e), all Hopf flags are True, and the
-    raw census builds no table.  The R_g act transitively, so B is
-    homogeneous.  Dedup hands each group order's Aut(G)-class leaders
-    (`_aut_class_leaders`), one (k, n, n) stack from `_galex_tables`, to
-    `dedup_by_isomorphism`: no quandle object and no inverse table."""
+    raw census builds no table.  A trefoil witness (d, e) needs d and
+    sigma(d) not to commute, so every GAlex quandle of an abelian G is
+    Hopf and trefoil admissible, with no gather.  The R_g act
+    transitively, so B is homogeneous.  Dedup hands each group order's
+    Aut(G)-class leaders (`_aut_class_leaders`), one (k, n, n) stack from
+    `_galex_tables`, to `dedup_by_isomorphism`: no quandle object and no
+    inverse table."""
     if max_group_order > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"census limited to group order {DEFAULT_MAX_ORDER}")
     out = []
@@ -119,12 +125,18 @@ def census_galex(max_group_order, dedup=False):
 
 def _galex_trefoil_admissible(g, s):
     """The trefoil admissibility flags of GAlex(G, sigma) per row sigma of
-    s, from e <| d = sigma(d^-1) d, (d <| e) <| d = sigma(sigma(d) d^-1) d
-    and (e <| d) <| e = sigma(e <| d).  Every GAlex quandle is Hopf
-    admissible: d <| e = sigma(d) = d forces e <| d = e."""
-    m, e, ar, i = g.table, g.identity, np.arange(g.order), np.arange(len(s))[:, None]
-    ed = m[s[:, g.inverse], ar]
-    trefoil = (m[s[i, m[s, g.inverse]], ar] == e) & (s[i, ed] != ar)
+    s, read off the pairs (d, e) (see `census_galex`).  Every GAlex quandle
+    is Hopf admissible: d <| e = sigma(d) = d forces e <| d =
+    sigma(d^-1) d = e.  As sigma is a homomorphism, (d <| e) <| d =
+    sigma(sigma(d) d^-1) d = sigma^2(d) sigma(d)^-1 d, which is e iff
+    sigma^2(d) = d^-1 sigma(d).  Then (e <| d) <| e = sigma(sigma(d)^-1 d)
+    = sigma^2(d)^-1 sigma(d) = sigma(d)^-1 d sigma(d), which is not d iff
+    d sigma(d) != sigma(d) d.  So a witness needs d and sigma(d) not to
+    commute, and on an abelian G every flag is True."""
+    if g.is_abelian():
+        return [True] * len(s)
+    m, ar, i = g.table, np.arange(g.order), np.arange(len(s))[:, None]
+    trefoil = (s[i, s] == m[g.inverse, s]) & (m[ar, s] != m[s, ar])
     return (~trefoil.any(axis=1)).tolist()
 
 

@@ -172,12 +172,20 @@ def _permutation_group(perms, name):
     return _group(t, name, tuple(map(str, perms)))
 
 
+def _positive(family, n):
+    # the builders refuse what catalog refuses, also when called directly
+    if n < 1:
+        raise UnknownFamily(f"{family} parameter must be positive")
+
+
 def cyclic_group(n):
+    _positive("cyclic", n)
     t = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return _group(t, f"cyclic({n})", tuple(str(i) for i in range(n)))
 
 
 def dihedral_group(n):
+    _positive("dihedral", n)
     labels = tuple(f"r{i}" if b == 0 else f"r{i}s" for b in (0, 1) for i in range(n))
     return _group(_metacyclic(n, 0), f"dihedral({n})", labels)
 
@@ -243,8 +251,8 @@ def catalog(name, *params):
     arity, order, builder = FAMILIES[name]
     if len(params) != arity:
         raise UnknownFamily(f"{name} takes {arity} parameter(s)")
-    if params and (params[0] < 1):
-        raise UnknownFamily(f"{name} parameter must be positive")
+    if params:
+        _positive(name, params[0])
     est = order(*params)
     if est > DEFAULT_MAX_ORDER:
         raise OrderTooLarge(f"order {est} exceeds bound {DEFAULT_MAX_ORDER}")
@@ -429,9 +437,15 @@ def _partial_automorphisms(g: FiniteGroup):
     yield seq[:1], f
     for k, end, ps, layers in stages:
         hs.append(k)                                    # the h_i in seq
+        cand = np.flatnonzero(orders == orders[seq[k]])
+        if k == 1:      # stage 1, <h_1>, keeps every row: see `automorphisms`
+            f = pw[np.arange(end), cand[:, None]]   # pw[0] = e; ps is 1..end-1
+            _cap(g, end, len(f))
+            yield seq[:end], f
+            continue
         # the edges (x, h_i), i <= j, for x in H_j - H_(j-1)
         xs, gs = np.repeat(np.arange(k, end), len(hs)), np.tile(hs, end - k)
-        c, cand = pos[m[seq[xs], seq[gs]]], np.flatnonzero(orders == orders[seq[k]])
+        c = pos[m[seq[xs], seq[gs]]]
         step, rows = max(1, _kernels._SLAB // xs.size), len(f) * cand.size
         kept, count = [], 0
         for r0 in range(0, rows, step):     # row r: f[r // |cand|], cand[r % |cand|]
@@ -443,12 +457,18 @@ def _partial_automorphisms(g: FiniteGroup):
             hom = (np.take(m, x[:, xs] * n + x[:, gs]) == x[:, c]).all(axis=1)
             kept.append(x[hom & (x[:, k:] != e).all(axis=1)])
             count += len(kept[-1])
-            if count > MAX_AUTOMORPHISMS:
-                what = "automorphisms" if end == n else (
-                    f"partial automorphisms, on its order-{end} subgroup")
-                raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
+            _cap(g, end, count)
         f = np.concatenate(kept)
         yield seq[:end], f
+
+
+def _cap(g: FiniteGroup, end, count):
+    """Raise OrderTooLarge if a stage ending at |H_j| = end keeps count >
+    MAX_AUTOMORPHISMS rows: automorphisms at H_j = G, else partial maps."""
+    if count > MAX_AUTOMORPHISMS:
+        what = "automorphisms" if end == g.order else (
+            f"partial automorphisms, on its order-{end} subgroup")
+        raise OrderTooLarge(f"{g.name} has more than {MAX_AUTOMORPHISMS} {what}")
 
 
 def automorphisms(g: FiniteGroup):
@@ -465,21 +485,29 @@ def automorphisms(g: FiniteGroup):
     `_generation`) by every image c of h = h_j of the same element order.
     One gather from the power table (`_powers`) sets f(h^p) = c^p on the
     powers of h outside H_(j-1), as every homomorphism must; product
-    layers fill the rest of H_j by f(y w) = f(y) f(w).  A row is kept if
-    f(x) != e and f(x h_i) = f(x) f(h_i) for every new x, in
-    H_j - H_(j-1), and i <= j.  The old x need no edge.  For i < j the
-    parent row, whose values the row copies, passed them.  For h, let d
-    be the least p > 0 with h^d in H_(j-1): x h^p is new for 0 < p < d,
-    so the new edges give f(x h^d) = f(x h) f(h)^(d-1), and at x = e
-    f(h^d) = f(h)^d; on H_(j-1) f is a homomorphism, so f(x h^d) =
-    f(x) f(h)^d and f(x h) = f(x) f(h).  This is also where c^d meets the
-    parent's f(h^d).  The g with f(x g) = f(x) f(g) for all x in H_j are
-    closed under products (f(e) = e), so f is a homomorphism on H_j with
-    trivial kernel, at H_j = G an automorphism.  Rows are expanded in
-    chunks of about _kernels._SLAB edge entries.  Raises OrderTooLarge
-    once a stage keeps more than MAX_AUTOMORPHISMS rows: at the last stage
-    automorphisms, at an earlier one partial maps, which may outnumber
-    Aut(G)."""
+    layers fill the rest of H_j by f(y w) = f(y) f(w).
+
+    Stage 1, on the cyclic <h_1>, needs no product layer and no edge
+    check: every row is kept.  Let h = h_1 have order d.  For each c of
+    order d, f(h^p) = c^p is a homomorphism, as c^d = e gives
+    f(h^p h^q) = c^(p+q) = c^p c^q, and injective, as c^p != e for
+    0 < p < d; and every injective homomorphism <h> -> G is one of these.
+
+    At a later stage a row is kept if f(x) != e and f(x h_i) = f(x) f(h_i)
+    for every new x, in H_j - H_(j-1), and i <= j.  The old x need no
+    edge.  For i < j the parent row, whose values the row copies, passed
+    them.  For h, let d be the least p > 0 with h^d in H_(j-1): x h^p is
+    new for 0 < p < d, so the new edges give f(x h^d) = f(x h) f(h)^(d-1),
+    and at x = e f(h^d) = f(h)^d; on H_(j-1) f is a homomorphism, so
+    f(x h^d) = f(x) f(h)^d and f(x h) = f(x) f(h).  This is also where
+    c^d meets the parent's f(h^d).  The g with f(x g) = f(x) f(g) for all
+    x in H_j are closed under products (f(e) = e), so f is a homomorphism
+    on H_j with trivial kernel, at H_j = G an automorphism.  Rows are
+    expanded in chunks of about _kernels._SLAB edge entries.
+
+    Raises OrderTooLarge once a stage, stage 1 included, keeps more than
+    MAX_AUTOMORPHISMS rows: at the last stage automorphisms, at an
+    earlier one partial maps, which may outnumber Aut(G)."""
     seq, f = deque(_partial_automorphisms(g), maxlen=1).pop()
     maps = f.take(np.argsort(seq), axis=1)  # C order: f[:, pos] is in Fortran order
     maps.setflags(write=False)

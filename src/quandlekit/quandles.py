@@ -102,7 +102,7 @@ def _quandle(t, label):
 
 
 def trivial_quandle(n):
-    t = np.tile(np.arange(n)[:, None], (1, n))
+    t = np.arange(n)[:, None] + 0 * np.arange(n)      # x <| y = x; empty for n < 1
     return _quandle(_square_table(t), f"trivial({n})")   # rejects n < 1
 
 

@@ -27,6 +27,7 @@ from quandlekit.groups import (
     census_catalog,
     normal_subgroups,
     parse_group_spec,
+    validate_group,
 )
 from quandlekit.quandles import (
     _galex_tables,
@@ -412,6 +413,60 @@ class TestCensus:
                 found.add((kind, flag))
         assert len(records) == 1792
         assert found == {("hopf", True), ("trefoil", True), ("trefoil", False)}
+
+    @staticmethod
+    def direct_trefoil_flags(g, s):
+        """The trefoil flags of GAlex(G, sigma), sigma a row of s, from the
+        quandle operation itself at the pairs (d, e): e <| d =
+        sigma(d^-1) d, (d <| e) <| d = sigma(sigma(d) d^-1) d and
+        (e <| d) <| e = sigma(e <| d), with no commutator argument."""
+        m, e, ar, i = g.table, g.identity, np.arange(g.order), np.arange(len(s))[:, None]
+        ed = m[s[:, g.inverse], ar]
+        trefoil = (m[s[i, m[s, g.inverse]], ar] == e) & (s[i, ed] != ar)
+        return (~trefoil.any(axis=1)).tolist()
+
+    @staticmethod
+    def relabelled(g, rng):
+        """g under a random relabelling whose identity is not 0."""
+        p = rng.permutation(g.order)
+        if p[g.identity] == 0:
+            p = np.roll(p, 1)
+        r = np.empty_like(g.table)
+        r[np.ix_(p, p)] = p[g.table]
+        return validate_group(r, name=f"{g.name}~")
+
+    def test_commutator_flags_match_the_direct_flags(self):
+        # every census_catalog(64) group and a relabelling of each one of
+        # order > 1, so that the identity is not 0
+        rng = np.random.default_rng(20261022)
+        gs = census_catalog(64)
+        found = set()
+        for g in gs + [self.relabelled(g, rng) for g in gs[1:]]:
+            s = automorphisms(g)
+            flags = criteria._galex_trefoil_admissible(g, s)
+            assert flags == self.direct_trefoil_flags(g, s), g.name
+            found.update(flags)
+        assert found == {True, False}
+
+    def test_commutator_flags_match_witness_scans(self):
+        # census_catalog(16) and a relabelling of each group: 1568 quandles
+        rng = np.random.default_rng(20261023)
+        gs = census_catalog(16)
+        gs += [self.relabelled(g, rng) for g in gs]
+        count = 0
+        for g in gs:
+            s = automorphisms(g)
+            for sigma, flag in zip(s, criteria._galex_trefoil_admissible(g, s)):
+                assert flag == (trefoil_witness(galex(g, sigma)) is None), (g.name, sigma)
+                count += 1
+        assert count == 1568
+
+    def test_abelian_groups_are_trefoil_admissible(self):
+        # a trefoil witness (d, e) needs d and sigma(d) not to commute
+        abelian = [g for g in census_catalog(64) if g.is_abelian()]
+        assert len(abelian) == 71
+        for g in abelian:
+            assert all(self.direct_trefoil_flags(g, automorphisms(g))), g.name
 
     def test_stacked_witnesses_match_holds_in_scan(self):
         # orders <= 8: the census flags, computed over each group's stack

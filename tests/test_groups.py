@@ -216,6 +216,17 @@ class TestCatalog:
         with pytest.raises(UnknownFamily):
             catalog("quaternion8", 3)
 
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_cyclic_builder_refuses_nonpositive(self, n):
+        # called directly, not through catalog, it refuses as catalog does
+        with pytest.raises(UnknownFamily, match="^cyclic parameter must be positive$"):
+            cyclic_group(n)
+
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_dihedral_builder_refuses_nonpositive(self, n):
+        with pytest.raises(UnknownFamily, match="^dihedral parameter must be positive$"):
+            dihedral_group(n)
+
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             direct_product(catalog("cyclic", 32), catalog("cyclic", 3))
@@ -540,6 +551,33 @@ class TestAutomorphisms:
         assert len(automorphisms(catalog("symmetric", 4))) == 24
         monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 168)
         assert len(automorphisms(z2cubed)) == 168
+
+    def test_cyclic_maps_are_the_units(self):
+        """A cyclic group has only stage 1, whose rows are kept unchecked:
+        Aut(Z_n) must be the maps x -> u x mod n for the units u of Z_n, in
+        ascending order, for n = 1..300."""
+        for n in range(1, 301):
+            units = np.array([u for u in range(n) if math.gcd(u, n) == 1])
+            assert np.array_equal(automorphisms(cyclic_group(n)),
+                                  units[:, None] * np.arange(n) % n), n
+
+    def test_cap_counts_stage_one(self, monkeypatch):
+        """Stage 1 checks no edge but still counts its rows: a cap below
+        phi(n) raises for every cyclic group, one of phi(n) does not, and
+        a non-cyclic group's stage 1 names its subgroup."""
+        for n in range(3, 301):
+            count = sum(math.gcd(u, n) == 1 for u in range(n))      # phi(n)
+            monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", count - 1)
+            with pytest.raises(OrderTooLarge,
+                               match=rf"^cyclic\({n}\) has more than {count - 1} automorphisms$"):
+                automorphisms(cyclic_group(n))
+            monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", count)
+            assert len(automorphisms(cyclic_group(n))) == count
+        ar = np.arange(16)          # (Z2)^4: 15 candidates for h_1 = 1
+        monkeypatch.setattr(groups, "MAX_AUTOMORPHISMS", 14)
+        with pytest.raises(OrderTooLarge, match="^group has more than 14 partial "
+                                                "automorphisms, on its order-2 subgroup$"):
+            automorphisms(validate_group(ar[:, None] ^ ar))
 
     @pytest.mark.parametrize("m, error, match", [
         pytest.param((0, 0, 0), ValueError, "not a permutation", id="m0"),

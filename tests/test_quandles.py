@@ -1170,6 +1170,12 @@ class TestQuandleFiles:
         with pytest.raises(FileFormatError, match=f"^table {message}$"):
             build()
 
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_trivial_builder_refuses_nonpositive(self, n):
+        # the same typed error at every n < 1, not numpy's reshape error
+        with pytest.raises(FileFormatError, match="^table must be a nonempty square matrix$"):
+            trivial_quandle(n)
+
     def test_order_bound(self, hopf1024):
         assert parse_quandle_file(format_quandle_file(hopf1024)).same_table(hopf1024)
         # rejected from the header alone, before the row count is checked
