@@ -410,7 +410,7 @@ def _generation(g: FiniteGroup, pw, orders):
         ps = 1 + np.flatnonzero(~reached[pw[1:orders[h], h]])
         seq, layers, a = np.append(seq, pw[ps, h]), [], k
         reached[seq[k:]] = True
-        while seq.size < n:             # at H_j = G, no product confirms closure
+        while k > 1 and seq.size < n:   # <h_1> is closed; at H_j = G, so is G
             fresh = np.arange(seq.size) >= a        # the block before the layer
             y, w = np.nonzero(fresh[:, None] | fresh)
             src = np.full(n, -1)            # a pair (y[i], w[i]) per product

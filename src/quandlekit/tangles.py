@@ -13,6 +13,7 @@ constraint system in this shape is accepted.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,25 +136,39 @@ def _colorings(d, q):
     When nothing is forced, each column is repeated once per color of the
     lowest-id over arc of a crossing with a known under arc, which forces
     at once, else of the lowest unknown arc; the arcs of no crossing come
-    last, in one step.  Past MAX_CELLS entries a step raises
-    OutputCapExceeded before allocating, and so does the start when one
-    column alone would pass it."""
+    last, in one step.  Such a crossing waits in a heap keyed by its over
+    arc, and the branch forces it in the same step: column j*k + x of the
+    repeat is old column j with the over arc colored x, so the forced row
+    is table[old[under_in]].ravel(), or inv_table[old[under_out]].ravel()
+    going backward (the tables swap at a negative crossing).  That is the
+    gather it replaces, as one copy of whole table rows; old[a] is
+    m[a, ::k].  A crossing whose over arc is also an under arc has both
+    under arcs known after the branch, so the filter checks it instead.
+    Past MAX_CELLS entries a step raises OutputCapExceeded before
+    allocating, and so does the start when one column alone would pass
+    it."""
     n, k = d.arc_count, q.order
     if n > MAX_CELLS:           # every coloring column holds n entries
         raise OutputCapExceeded(f"more than {MAX_CELLS} solver cells: {n} arcs")
     m = np.zeros((n, 1), dtype=np.int64)
     known = [False] * n
-    touching = {}               # arc -> its crossings, for arcs in one
-    for i, c in enumerate(d.crossings):
-        for a in {c.over, c.under_in, c.under_out}:
-            touching.setdefault(a, []).append(i)
-    pending, work = set(range(len(d.crossings))), []
-    crossed = sorted(touching)
+    cs = [(c.sign, c.over, c.under_in, c.under_out) for c in d.crossings]
+    ops = (None, q.table, q.inv_table)      # ops[sign] forward, ops[-sign] back
+    enter, leave, over_of = {}, {}, {}  # arc -> crossing it enters, it leaves, it is over
+    for i, (_, o, a, b) in enumerate(cs):
+        enter[a] = leave[b] = i
+        over_of.setdefault(o, []).append(i)
+    done, work, ready = [False] * len(cs), [], []  # ready: heap of (over, crossing)
+    crossed = sorted({*enter, *leave, *over_of})
     low = 0                     # the arcs crossed[:low] are known
 
     def learn(a):
         known[a] = True
-        work.extend(touching.get(a, ()))
+        if a in enter:
+            work.append(enter[a])
+        if a in leave:
+            work.append(leave[a])
+        work.extend(over_of.get(a, ()))
 
     def bound(reps, colors):
         if n * m.shape[1] * reps > MAX_CELLS:
@@ -163,33 +178,43 @@ def _colorings(d, q):
     while True:
         while work:
             i = work.pop()
-            c = d.crossings[i]
-            if (i not in pending or not known[c.over]
-                    or not (known[c.under_in] or known[c.under_out])):
+            s, o, a, b = cs[i]
+            if done[i] or not (known[a] or known[b]):
                 continue
-            fwd, back = (q.table, q.inv_table)[::c.sign]   # -1 swaps them
-            if known[c.under_in] and known[c.under_out]:
-                m = m[:, fwd[m[c.under_in], m[c.over]] == m[c.under_out]]
-            elif known[c.under_in]:
-                m[c.under_out] = fwd[m[c.under_in], m[c.over]]
-                learn(c.under_out)
+            if not known[o]:
+                heapq.heappush(ready, (o, i))
+                continue
+            done[i] = True
+            if known[a] and known[b]:
+                m = m.compress(ops[s][m[a], m[o]] == m[b], axis=1)
+            elif known[a]:
+                m[b] = ops[s][m[a], m[o]]
+                learn(b)
             else:
-                m[c.under_in] = back[m[c.under_out], m[c.over]]
-                learn(c.under_in)
-            pending.discard(i)
+                m[a] = ops[-s][m[b], m[o]]
+                learn(a)
+        while ready and known[ready[0][0]]:
+            heapq.heappop(ready)
         while low < len(crossed) and known[crossed[low]]:
             low += 1
-        crossings = (d.crossings[i] for i in pending)
-        arc = min((c.over for c in crossings if not known[c.over]
-                   and (known[c.under_in] or known[c.under_out])),
-                  default=crossed[low] if low < len(crossed) else None)
         cols = m.shape[1]
-        if arc is None or cols == 0:
+        if cols == 0 or not ready and low == len(crossed):
             break
         bound(k, k)
         m = np.repeat(m, k, axis=1)
+        arc, i = heapq.heappop(ready) if ready else (crossed[low], None)
         m[arc] = np.tile(np.arange(k), cols)
         learn(arc)
+        if i is not None:
+            s, o, a, b = cs[i]
+            if known[a] != known[b]:    # else the over arc is an under arc too
+                done[i] = True
+                if known[a]:
+                    m[b] = ops[s][m[a, ::k]].ravel()
+                    learn(b)
+                else:
+                    m[a] = ops[-s][m[b, ::k]].ravel()
+                    learn(a)
     if cols and len(crossed) < n:       # the arcs of no crossing are all unknown
         free = np.setdiff1d(np.arange(n), crossed, assume_unique=True)
         # combination j gives free[i] digit i of j in base k; reps is
@@ -227,7 +252,7 @@ def enumerate_colorings(d: TangleDiagram, q: FiniteQuandle, mode="count"):
             raise OutputCapExceeded(f"more than {DEFAULT_OUTPUT_CAP} colorings")
         m = m[:, _kernels._row_keys(m.T).argsort()]
         return [Coloring(tuple(col)) for col in m.T.tolist()]
-    w = m[:, m[d.start_arc] != m[d.end_arc]]    # the witnesses
+    w = m.compress(m[d.start_arc] != m[d.end_arc], axis=1)     # the witnesses
     if not w.shape[1]:
         return AdmissibilityVerdict(True, None)
     first = w[:, _kernels._row_keys(w.T).argmin()]     # the least, as list sorts

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from quandlekit.groups import automorphisms, census_catalog, normal_subgroups
+from quandlekit.groups import automorphisms, census_catalog, normal_subgroups, validate_group
 from quandlekit.quandles import (
     conj_quandle,
     dihedral_quandle,
@@ -124,6 +124,16 @@ def census_quandles(records):
     return out
 
 
+def relabelled_group(g, rng):
+    """g under a random relabelling whose identity is not 0 (for order > 1)."""
+    p = rng.permutation(g.order)
+    if p[g.identity] == 0:
+        p = np.roll(p, 1)
+    r = np.empty_like(g.table)
+    r[np.ix_(p, p)] = p[g.table]
+    return validate_group(r, name=f"{g.name}~")
+
+
 def brute_force_colorings(d, q):
     """Independent oracle: try every assignment of quandle elements to
     arcs and keep those satisfying all crossing equations."""
@@ -141,11 +151,12 @@ def brute_force_colorings(d, q):
     return out
 
 
-def random_diagram(rng, max_arcs):
+def random_diagram(rng, max_arcs, own_over=0):
     """A seeded random constraint system of (1,1)-tangle shape: an
     under-strand chain from start to end, under-strand loops (a loop of one
     arc enters and leaves the same crossing), arcs in no crossing, over
-    arcs drawn from all arcs and both signs.  Arc ids are shuffled, so an
+    arcs drawn from all arcs (with probability own_over from the
+    crossing's own under arcs) and both signs.  Arc ids are shuffled, so an
     under-out arc often has a lower id than its under-in, and the crossings
     are listed in shuffled order."""
     n = rng.randint(2, max_arcs)
@@ -157,7 +168,8 @@ def random_diagram(rng, max_arcs):
         size = rng.randint(1, len(rest))
         strands.append(rest[:size] + [rest[0]])
         rest = rest[size:]
-    crossings = [Crossing(rng.choice((1, -1)), rng.randrange(n), a, b)
+    crossings = [Crossing(rng.choice((1, -1)), rng.choice((a, b))
+                          if own_over and rng.random() < own_over else rng.randrange(n), a, b)
                  for s in strands for a, b in zip(s, s[1:])]
     rng.shuffle(crossings)
     return make_diagram(n, strands[0][0], strands[0][-1], crossings)

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import census_quandles
+from conftest import census_quandles, relabelled_group
 from quandlekit import _kernels, criteria, tangles
 from quandlekit.criteria import (
     CensusRecord,
@@ -425,23 +425,13 @@ class TestCensus:
         trefoil = (m[s[i, m[s, g.inverse]], ar] == e) & (s[i, ed] != ar)
         return (~trefoil.any(axis=1)).tolist()
 
-    @staticmethod
-    def relabelled(g, rng):
-        """g under a random relabelling whose identity is not 0."""
-        p = rng.permutation(g.order)
-        if p[g.identity] == 0:
-            p = np.roll(p, 1)
-        r = np.empty_like(g.table)
-        r[np.ix_(p, p)] = p[g.table]
-        return validate_group(r, name=f"{g.name}~")
-
     def test_commutator_flags_match_the_direct_flags(self):
         # every census_catalog(64) group and a relabelling of each one of
         # order > 1, so that the identity is not 0
         rng = np.random.default_rng(20261022)
         gs = census_catalog(64)
         found = set()
-        for g in gs + [self.relabelled(g, rng) for g in gs[1:]]:
+        for g in gs + [relabelled_group(g, rng) for g in gs[1:]]:
             s = automorphisms(g)
             flags = criteria._galex_trefoil_admissible(g, s)
             assert flags == self.direct_trefoil_flags(g, s), g.name
@@ -452,7 +442,7 @@ class TestCensus:
         # census_catalog(16) and a relabelling of each group: 1568 quandles
         rng = np.random.default_rng(20261023)
         gs = census_catalog(16)
-        gs += [self.relabelled(g, rng) for g in gs]
+        gs += [relabelled_group(g, rng) for g in gs]
         count = 0
         for g in gs:
             s = automorphisms(g)

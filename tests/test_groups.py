@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import relabelled_group
 from quandlekit import _kernels, groups
 from quandlekit.errors import (
     AutomorphismMismatch,
@@ -346,14 +347,8 @@ def _catalog64_and_relabelled():
     that the identity is not 0."""
     rng = np.random.default_rng(20261020)
     gs = census_catalog(64)
-    relabelled = []
-    for i in rng.choice(np.arange(1, len(gs)), size=25, replace=False):
-        t, p = gs[i].table, rng.permutation(gs[i].order)
-        if p[gs[i].identity] == 0:
-            p = np.roll(p, 1)
-        r = np.empty_like(t)
-        r[np.ix_(p, p)] = p[t]
-        relabelled.append(validate_group(r, name=f"{gs[i].name}~"))
+    relabelled = [relabelled_group(gs[i], rng)
+                  for i in rng.choice(np.arange(1, len(gs)), size=25, replace=False)]
     assert all(g.identity != 0 for g in relabelled)
     return gs + relabelled
 
@@ -522,20 +517,10 @@ class TestAutomorphisms:
         byte-string keys strictly increase, and they sort as np.lexsort
         does, also for a group of order 300, whose entries take two bytes.
         The array is in C order, which the row gathers downstream assume."""
-        rng = np.random.default_rng(20261020)
-        gs = census_catalog(64) + [validate_group(
+        gs = _catalog64_and_relabelled() + [validate_group(
             (np.arange(300)[:, None] + np.arange(300)) % 300, name="cyclic(300)")]
-        assert len(gs) == len(CENSUS_SPECS) + 1
-        relabelled = []
-        for i in rng.choice(np.arange(1, len(gs) - 1), size=25, replace=False):
-            t, p = gs[i].table, rng.permutation(gs[i].order)
-            if p[gs[i].identity] == 0:
-                p = np.roll(p, 1)
-            r = np.empty_like(t)
-            r[np.ix_(p, p)] = p[t]
-            relabelled.append(validate_group(r, name=f"{gs[i].name}~"))
-        assert all(g.identity != 0 for g in relabelled)
-        for g in relabelled + gs:
+        assert len(gs) == len(CENSUS_SPECS) + 26
+        for g in gs:
             maps = automorphisms(g)
             keys = _kernels._row_keys(maps)
             assert (keys[:-1] < keys[1:]).all(), g.name

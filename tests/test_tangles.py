@@ -267,6 +267,36 @@ class TestSolver:
             assert v.admissible == (witness is None)
             assert (v.witness and v.witness.assignment) == witness
 
+    def test_fused_branch_steps_in_brute_force_order(self):
+        # A branch on the over arc of a crossing with one known under arc
+        # fills the third arc from whole table rows, forward from a known
+        # under_in or backward from a known under_out.  Each fixed diagram
+        # branches on arc 0, then on arc 1: the first two fill arc 2
+        # forward and backward; in the last two arc 1 is also the unknown
+        # under arc, so the branch must leave the crossing to the filter.
+        # The random ones add one-arc loops, and take one over arc in three
+        # from the crossing's own under arcs.  GAlex(Z5, x -> 2x) and
+        # (x -> 3x) are not involutory, so a table read where its inverse
+        # is due shows.
+        z5 = catalog("cyclic", 5)
+        pool = [galex(z5, a) for a in automorphisms(z5)[1:3]]
+        pool += [dihedral_quandle(3), conj_quandle(catalog("symmetric", 3))]
+        cases = [(make_diagram(arcs, start, end, [Crossing(s, 1, start, end)]), q)
+                 for arcs, start, end in [(3, 0, 2), (3, 2, 0), (2, 0, 1), (2, 1, 0)]
+                 for s in (1, -1) for q in pool]
+        rng = random.Random(20261022)
+        cases += [(random_diagram(rng, 5, own_over=1 / 3), pool[rng.randrange(len(pool))])
+                  for _ in range(300)]
+        for d, q in cases:
+            want = brute_force_colorings(d, q)
+            got = [c.assignment for c in enumerate_colorings(d, q, "list")]
+            assert got == want, (d, q.label)
+            assert enumerate_colorings(d, q, "count") == len(want)
+            witness = next((a for a in want if a[d.start_arc] != a[d.end_arc]), None)
+            v = enumerate_colorings(d, q, "admissibility")
+            assert v.admissible == (witness is None)
+            assert (v.witness and v.witness.assignment) == witness
+
     def test_check_coloring_rejects_every_single_arc_change(self):
         r5 = dihedral_quandle(5)
         z5 = catalog("cyclic", 5)
